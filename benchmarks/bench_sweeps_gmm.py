@@ -1,53 +1,32 @@
 """Fig. 3 sweeps as benchmarks: GMM binary-join, vary rr / dR / K.
 
-Scaled synthetic grids on the paper's axes (see bench/tables.py). The paper's
-qualitative findings these rows should reproduce: F-GMM fastest everywhere
-with the gap growing in rr, in dR, and in K (Section VII-C1).
+Scaled synthetic grids on the paper's axes: the ``FIG3`` list that
+``fig3_rows`` also runs (see bench/tables.py). The paper's qualitative
+findings these rows should reproduce: F-GMM fastest everywhere with the gap
+growing in rr, in dR, and in K (Section VII-C1).
 """
 import pytest
 
-from repro.bench.harness import prepare_relations
-from repro.bench.tables import SWEEP_ITERS, _SWEEP_NR, _SWEEP_NS
-from repro.core.params import init_gmm
-from repro.data.normalized import binary_relations_pdf
-from repro.gmm import train_f_gmm, train_m_gmm, train_s_gmm
-
-# name -> (n_s, d_r, k)
-SWEEP = {
-    "rr=50,dR=15": (50 * _SWEEP_NR, 15, 5),
-    "rr=500,dR=15": (500 * _SWEEP_NR, 15, 5),
-    "dR=5": (_SWEEP_NS, 5, 5),
-    "dR=30": (_SWEEP_NS, 30, 5),
-    "K=2": (_SWEEP_NS, 15, 2),
-    "K=8": (_SWEEP_NS, 15, 8),
-}
+from repro.bench.harness import ALGOS, make_init, train
+from repro.bench.tables import FIG3, SWEEP_ITERS
 
 
-@pytest.fixture(scope="module", params=list(SWEEP), ids=list(SWEEP))
-def sweep_dataset(request, spark):
-    n_s, d_r, k = SWEEP[request.param]
-    s_pdf, r_pdf = binary_relations_pdf(n_s=n_s, n_r=_SWEEP_NR, d_s=5, d_r=d_r, seed=21)
-    s_df, r_dfs = prepare_relations(spark, s_pdf, [r_pdf])
-    init = init_gmm(5 + d_r, k, seed=11)
-    yield request.param, s_df, r_dfs, init
-    s_df.unpersist()
-    for r in r_dfs:
-        r.unpersist()
-
-
-@pytest.mark.parametrize("algo", ["M", "S", "F"])
-def test_fig3_sweep(benchmark, sweep_dataset, algo, spark, tmp_path):
-    name, s_df, r_dfs, init = sweep_dataset
-    benchmark.extra_info["config"] = name
-
-    def run():
-        if algo == "M":
-            return train_m_gmm(
-                spark, s_df, r_dfs, init=init, iters=SWEEP_ITERS, tmpdir=str(tmp_path)
-            )
-        if algo == "S":
-            return train_s_gmm(spark, s_df, r_dfs, init=init, iters=SWEEP_ITERS)
-        return train_f_gmm(spark, s_df, r_dfs, init=init, iters=SWEEP_ITERS)
-
-    res = benchmark.pedantic(run, rounds=1, iterations=1)
+@pytest.mark.parametrize(
+    "relations", FIG3, ids=[c.name for c in FIG3], indirect=True, scope="module"
+)
+@pytest.mark.parametrize("algo", ALGOS)
+def test_fig3_sweep(benchmark, relations, algo, spark, tmp_path):
+    cfg, s_df, r_dfs = relations
+    benchmark.extra_info["config"] = cfg.name
+    res = benchmark.pedantic(
+        train,
+        args=("GMM", algo, spark, s_df, r_dfs),
+        kwargs=dict(
+            init=make_init("GMM", cfg.spec.d, cfg.size),
+            iters=SWEEP_ITERS,
+            tmpdir=str(tmp_path),
+        ),
+        rounds=1,
+        iterations=1,
+    )
     assert len(res.history) == SWEEP_ITERS

@@ -1,54 +1,32 @@
 """Fig. 5 sweeps as benchmarks: NN binary-join, vary rr / dR / nh.
 
-Paper findings to reproduce (Section VII-C2): F-NN fastest with the gap
-growing in rr, dR and nh; for very small rr F-NN may not win (the crossover
-around rr~50-200 depending on dR).
+The ``FIG5`` list that ``fig5_rows`` also runs (see bench/tables.py). Paper
+findings to reproduce (Section VII-C2): F-NN fastest with the gap growing in
+rr, dR and nh; for very small rr F-NN may not win (the crossover around
+rr~50-200 depending on dR).
 """
 import pytest
 
-from repro.bench.harness import prepare_relations
-from repro.bench.tables import SWEEP_ITERS, _SWEEP_NR, _SWEEP_NS
-from repro.core.params import init_nn
-from repro.data.normalized import binary_relations_pdf
-from repro.nn import train_f_nn, train_m_nn, train_s_nn
-
-# name -> (n_s, d_r, nh)
-SWEEP = {
-    "rr=50,dR=15": (50 * _SWEEP_NR, 15, 50),
-    "rr=500,dR=15": (500 * _SWEEP_NR, 15, 50),
-    "dR=5": (_SWEEP_NS, 5, 50),
-    "dR=30": (_SWEEP_NS, 30, 50),
-    "nh=25": (_SWEEP_NS, 15, 25),
-    "nh=100": (_SWEEP_NS, 15, 100),
-}
+from repro.bench.harness import ALGOS, make_init, train
+from repro.bench.tables import FIG5, SWEEP_ITERS
 
 
-@pytest.fixture(scope="module", params=list(SWEEP), ids=list(SWEEP))
-def sweep_dataset(request, spark):
-    n_s, d_r, nh = SWEEP[request.param]
-    s_pdf, r_pdf = binary_relations_pdf(
-        n_s=n_s, n_r=_SWEEP_NR, d_s=5, d_r=d_r, seed=41, target=True
+@pytest.mark.parametrize(
+    "relations", FIG5, ids=[c.name for c in FIG5], indirect=True, scope="module"
+)
+@pytest.mark.parametrize("algo", ALGOS)
+def test_fig5_sweep(benchmark, relations, algo, spark, tmp_path):
+    cfg, s_df, r_dfs = relations
+    benchmark.extra_info["config"] = cfg.name
+    res = benchmark.pedantic(
+        train,
+        args=("NN", algo, spark, s_df, r_dfs),
+        kwargs=dict(
+            init=make_init("NN", cfg.spec.d, cfg.size),
+            iters=SWEEP_ITERS,
+            tmpdir=str(tmp_path),
+        ),
+        rounds=1,
+        iterations=1,
     )
-    s_df, r_dfs = prepare_relations(spark, s_pdf, [r_pdf])
-    init = init_nn(5 + d_r, nh, seed=13)
-    yield request.param, s_df, r_dfs, init
-    s_df.unpersist()
-    for r in r_dfs:
-        r.unpersist()
-
-
-@pytest.mark.parametrize("algo", ["M", "S", "F"])
-def test_fig5_sweep(benchmark, sweep_dataset, algo, spark, tmp_path):
-    name, s_df, r_dfs, init = sweep_dataset
-    benchmark.extra_info["config"] = name
-    kw = dict(init=init, epochs=SWEEP_ITERS, lr=0.1, activation="sigmoid")
-
-    def run():
-        if algo == "M":
-            return train_m_nn(spark, s_df, r_dfs, tmpdir=str(tmp_path), **kw)
-        if algo == "S":
-            return train_s_nn(spark, s_df, r_dfs, **kw)
-        return train_f_nn(spark, s_df, r_dfs, **kw)
-
-    res = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(res.history) == SWEEP_ITERS

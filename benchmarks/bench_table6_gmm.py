@@ -1,50 +1,39 @@
 """Table VI: M/S/F-GMM runtimes on the simulated real datasets.
 
-One pytest-benchmark entry per (dataset, algorithm); ``extra_info`` carries
-the paper's published seconds so the JSON/console output can be diffed
-directly against Table VI (see EXPERIMENTS.md). Each trainer runs once
-(rounds=1): a 5-iteration EM run is already an aggregate of many passes, and
-repeating 24 multi-second trainings would multiply the suite's cost for no
-extra signal.
+One pytest-benchmark entry per (dataset, algorithm) of ``TABLE6``;
+``extra_info`` carries the paper's published seconds so the JSON/console
+output can be diffed directly against Table VI (see EXPERIMENTS.md). Each
+trainer runs once (rounds=1): a 5-iteration EM run is already an aggregate of
+many passes, and repeating 24 multi-second trainings would multiply the
+suite's cost for no extra signal.
 """
 import pytest
 
-from repro.bench.harness import prepare_relations
-from repro.bench.tables import PAPER_TABLE6, TABLE_ITERS
-from repro.core.params import init_gmm
-from repro.data import realsim
-from repro.gmm import train_f_gmm, train_m_gmm, train_s_gmm
-
-DATASETS = list(realsim.GMM_REAL)
+from repro.bench.harness import ALGOS, make_init, train
+from repro.bench.tables import PAPER_TABLE6, TABLE6, TABLE_ITERS
 
 
-@pytest.fixture(scope="module", params=DATASETS, ids=[d.replace(" ", "") for d in DATASETS])
-def gmm_dataset(request, spark):
-    spec = realsim.GMM_REAL[request.param]
-    s_pdf, r_pdfs = spec.generate_pdf()
-    s_df, r_dfs = prepare_relations(spark, s_pdf, r_pdfs)
-    d = spec.d_s + sum(spec.d_rs)
-    init = init_gmm(d, 5, seed=11)
-    yield request.param, s_df, r_dfs, init
-    s_df.unpersist()
-    for r in r_dfs:
-        r.unpersist()
-
-
-@pytest.mark.parametrize("algo", ["M", "S", "F"])
-def test_table6(benchmark, gmm_dataset, algo, spark, tmp_path):
-    name, s_df, r_dfs, init = gmm_dataset
-    benchmark.extra_info["dataset"] = name
-    benchmark.extra_info["paper_seconds"] = PAPER_TABLE6[name][f"{algo}-GMM"]
-
-    def run():
-        if algo == "M":
-            return train_m_gmm(
-                spark, s_df, r_dfs, init=init, iters=TABLE_ITERS, tmpdir=str(tmp_path)
-            )
-        if algo == "S":
-            return train_s_gmm(spark, s_df, r_dfs, init=init, iters=TABLE_ITERS)
-        return train_f_gmm(spark, s_df, r_dfs, init=init, iters=TABLE_ITERS)
-
-    res = benchmark.pedantic(run, rounds=1, iterations=1)
+@pytest.mark.parametrize(
+    "relations",
+    TABLE6,
+    ids=[c.name.replace(" ", "") for c in TABLE6],
+    indirect=True,
+    scope="module",
+)
+@pytest.mark.parametrize("algo", ALGOS)
+def test_table6(benchmark, relations, algo, spark, tmp_path):
+    cfg, s_df, r_dfs = relations
+    benchmark.extra_info["dataset"] = cfg.name
+    benchmark.extra_info["paper_seconds"] = PAPER_TABLE6[cfg.name][f"{algo}-GMM"]
+    res = benchmark.pedantic(
+        train,
+        args=("GMM", algo, spark, s_df, r_dfs),
+        kwargs=dict(
+            init=make_init("GMM", cfg.spec.d, cfg.size),
+            iters=TABLE_ITERS,
+            tmpdir=str(tmp_path),
+        ),
+        rounds=1,
+        iterations=1,
+    )
     assert len(res.history) == TABLE_ITERS

@@ -1,45 +1,35 @@
 """Table VII: M/S/F-NN runtimes on the simulated sparse datasets.
 
-One pytest-benchmark entry per (dataset, algorithm), with the paper's
-published seconds in ``extra_info`` (see EXPERIMENTS.md).
+One pytest-benchmark entry per (dataset, algorithm) of ``TABLE7``, with the
+paper's published seconds in ``extra_info`` (see EXPERIMENTS.md).
 """
 import pytest
 
-from repro.bench.harness import prepare_relations
-from repro.bench.tables import PAPER_TABLE7, TABLE_ITERS
-from repro.core.params import init_nn
-from repro.data import realsim
-from repro.nn import train_f_nn, train_m_nn, train_s_nn
-
-DATASETS = list(realsim.NN_REAL)
+from repro.bench.harness import ALGOS, make_init, train
+from repro.bench.tables import PAPER_TABLE7, TABLE7, TABLE_ITERS
 
 
-@pytest.fixture(scope="module", params=DATASETS, ids=[d.replace(" ", "") for d in DATASETS])
-def nn_dataset(request, spark):
-    spec = realsim.NN_REAL[request.param]
-    s_pdf, r_pdfs = spec.generate_pdf()
-    s_df, r_dfs = prepare_relations(spark, s_pdf, r_pdfs)
-    d = spec.d_s + sum(spec.d_rs)
-    init = init_nn(d, 50, seed=13)
-    yield request.param, s_df, r_dfs, init
-    s_df.unpersist()
-    for r in r_dfs:
-        r.unpersist()
-
-
-@pytest.mark.parametrize("algo", ["M", "S", "F"])
-def test_table7(benchmark, nn_dataset, algo, spark, tmp_path):
-    name, s_df, r_dfs, init = nn_dataset
-    benchmark.extra_info["dataset"] = name
-    benchmark.extra_info["paper_seconds"] = PAPER_TABLE7[name][f"{algo}-NN"]
-    kw = dict(init=init, epochs=TABLE_ITERS, lr=0.1, activation="sigmoid")
-
-    def run():
-        if algo == "M":
-            return train_m_nn(spark, s_df, r_dfs, tmpdir=str(tmp_path), **kw)
-        if algo == "S":
-            return train_s_nn(spark, s_df, r_dfs, **kw)
-        return train_f_nn(spark, s_df, r_dfs, **kw)
-
-    res = benchmark.pedantic(run, rounds=1, iterations=1)
+@pytest.mark.parametrize(
+    "relations",
+    TABLE7,
+    ids=[c.name.replace(" ", "") for c in TABLE7],
+    indirect=True,
+    scope="module",
+)
+@pytest.mark.parametrize("algo", ALGOS)
+def test_table7(benchmark, relations, algo, spark, tmp_path):
+    cfg, s_df, r_dfs = relations
+    benchmark.extra_info["dataset"] = cfg.name
+    benchmark.extra_info["paper_seconds"] = PAPER_TABLE7[cfg.name][f"{algo}-NN"]
+    res = benchmark.pedantic(
+        train,
+        args=("NN", algo, spark, s_df, r_dfs),
+        kwargs=dict(
+            init=make_init("NN", cfg.spec.d, cfg.size),
+            iters=TABLE_ITERS,
+            tmpdir=str(tmp_path),
+        ),
+        rounds=1,
+        iterations=1,
+    )
     assert len(res.history) == TABLE_ITERS

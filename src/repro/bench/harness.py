@@ -17,10 +17,16 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.params import init_gmm, init_nn
+from repro.core.params import TrainResult, init_gmm, init_nn
 from repro.data.normalized import to_spark
 from repro.gmm import train_f_gmm, train_m_gmm, train_s_gmm
 from repro.nn import train_f_nn, train_m_nn, train_s_nn
+
+ALGOS = ("M", "S", "F")
+_TRAINERS = {
+    "GMM": {"M": train_m_gmm, "S": train_s_gmm, "F": train_f_gmm},
+    "NN": {"M": train_m_nn, "S": train_s_nn, "F": train_f_nn},
+}
 
 
 def warmup(spark: SparkSession) -> None:
@@ -33,8 +39,8 @@ def warmup(spark: SparkSession) -> None:
     from repro.data.normalized import binary_relations_pdf
 
     s, r = binary_relations_pdf(n_s=2000, n_r=20, d_s=2, d_r=2, seed=99, target=True)
-    run_gmm_matrix(spark, "_warmup", s, [r], k=2, iters=1)
-    run_nn_matrix(spark, "_warmup", s, [r], nh=4, epochs=1)
+    run_matrix(spark, "GMM", "_warmup", s, [r], size=2, iters=1)
+    run_matrix(spark, "NN", "_warmup", s, [r], size=4, iters=1)
 
 
 @dataclass
@@ -60,101 +66,60 @@ def prepare_relations(spark: SparkSession, s_pdf: pd.DataFrame, r_pdfs: list[pd.
     return s_df, r_dfs
 
 
-def run_gmm_matrix(
+def make_init(model: str, d: int, size: int):
+    """The init every algorithm of ``model`` shares: K components or nh hidden units."""
+    return init_gmm(d, size, 11) if model == "GMM" else init_nn(d, size, 13)
+
+
+def train(
+    model: str, algo: str, spark, s_df, r_dfs, *, init, iters: int, tmpdir: str
+) -> TrainResult:
+    """Run algorithm ``algo`` (M/S/F) of ``model``; ``iters`` are EM iterations or NN epochs."""
+    kw = {"init": init, ("iters" if model == "GMM" else "epochs"): iters}
+    if algo == "M":
+        kw["tmpdir"] = tmpdir
+    return _TRAINERS[model][algo](spark, s_df, r_dfs, **kw)
+
+
+def run_matrix(
     spark: SparkSession,
+    model: str,
     dataset_name: str,
     s_pdf: pd.DataFrame,
     r_pdfs: list[pd.DataFrame],
     *,
-    k: int = 5,
-    iters: int = 5,
-    seed: int = 11,
-    algos: tuple[str, ...] = ("M", "S", "F"),
+    size: int,
+    iters: int,
 ) -> list[Row]:
-    """Time M/S/F-GMM on one dataset with a shared init; verify agreement."""
+    """Time M/S/F of ``model`` ("GMM" or "NN") on one dataset with a shared
+    init; verify agreement. ``size`` is K (GMM) or nh (NN)."""
     s_df, r_dfs = prepare_relations(spark, s_pdf, r_pdfs)
     d = sum(1 for c in s_pdf.columns if c.startswith("xs_")) + sum(
         len([c for c in r.columns if c.startswith("xr")]) for r in r_pdfs
     )
-    init = init_gmm(d, k, seed)
+    init = make_init(model, d, size)
     tmpdir = tempfile.mkdtemp(prefix="repro_bench_")
-    rows: list[Row] = []
     try:
-        results = {}
-        for algo in algos:
-            if algo == "M":
-                res = train_m_gmm(spark, s_df, r_dfs, init=init, iters=iters, tmpdir=tmpdir)
-            elif algo == "S":
-                res = train_s_gmm(spark, s_df, r_dfs, init=init, iters=iters)
-            else:
-                res = train_f_gmm(spark, s_df, r_dfs, init=init, iters=iters)
-            results[algo] = res
-            rows.append(
-                Row(
-                    dataset_name,
-                    f"{algo}-GMM",
-                    res.timings["total"],
-                    res.timings["materialize"],
-                    res.history[-1],
-                )
-            )
-        _check_agreement(results, "GMM", dataset_name)
+        results = {
+            algo: train(model, algo, spark, s_df, r_dfs, init=init, iters=iters, tmpdir=tmpdir)
+            for algo in ALGOS
+        }
+        _check_agreement(results, model, dataset_name)
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
         s_df.unpersist()
         for r in r_dfs:
             r.unpersist()
-    return rows
-
-
-def run_nn_matrix(
-    spark: SparkSession,
-    dataset_name: str,
-    s_pdf: pd.DataFrame,
-    r_pdfs: list[pd.DataFrame],
-    *,
-    nh: int = 50,
-    epochs: int = 5,
-    lr: float = 0.1,
-    activation: str = "sigmoid",
-    seed: int = 13,
-    algos: tuple[str, ...] = ("M", "S", "F"),
-) -> list[Row]:
-    """Time M/S/F-NN on one dataset with a shared init; verify agreement."""
-    s_df, r_dfs = prepare_relations(spark, s_pdf, r_pdfs)
-    d = sum(1 for c in s_pdf.columns if c.startswith("xs_")) + sum(
-        len([c for c in r.columns if c.startswith("xr")]) for r in r_pdfs
-    )
-    init = init_nn(d, nh, seed)
-    tmpdir = tempfile.mkdtemp(prefix="repro_bench_")
-    rows: list[Row] = []
-    try:
-        results = {}
-        for algo in algos:
-            kw = dict(init=init, epochs=epochs, lr=lr, activation=activation)
-            if algo == "M":
-                res = train_m_nn(spark, s_df, r_dfs, tmpdir=tmpdir, **kw)
-            elif algo == "S":
-                res = train_s_nn(spark, s_df, r_dfs, **kw)
-            else:
-                res = train_f_nn(spark, s_df, r_dfs, **kw)
-            results[algo] = res
-            rows.append(
-                Row(
-                    dataset_name,
-                    f"{algo}-NN",
-                    res.timings["total"],
-                    res.timings["materialize"],
-                    res.history[-1],
-                )
-            )
-        _check_agreement(results, "NN", dataset_name)
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
-        s_df.unpersist()
-        for r in r_dfs:
-            r.unpersist()
-    return rows
+    return [
+        Row(
+            dataset_name,
+            f"{algo}-{model}",
+            res.timings["total"],
+            res.timings["materialize"],
+            res.history[-1],
+        )
+        for algo, res in results.items()
+    ]
 
 
 def _check_agreement(results: dict, model: str, dataset: str) -> None:

@@ -1,10 +1,11 @@
 """Workload definitions for every evaluation artifact (DESIGN.md Section 4).
 
-Each ``*_rows`` function reproduces one table/figure of the paper: it
-generates the (scaled) datasets, runs the M/S/F matrix through the harness
-and returns the measured rows. The paper's published numbers are kept here
-(``PAPER_TABLE6`` / ``PAPER_TABLE7``) so EXPERIMENTS.md and the jobs can
-print paper-vs-measured side by side.
+Each table and figure of the paper is declared once, as data: a list of
+``Config`` (dataset, row scale, model size). The ``*_rows`` functions run the
+M/S/F matrix of the harness over one such list, and the pytest-benchmark
+suites in ``benchmarks/`` parametrize over the same lists. The paper's
+published numbers are kept here (``PAPER_TABLE6`` / ``PAPER_TABLE7``) so
+EXPERIMENTS.md and the jobs can print paper-vs-measured side by side.
 
 Scaling: real-dataset simulations run at ``realsim.ROW_SCALE`` row scale with
 exact paper feature dimensions; synthetic sweeps use nR=200 (paper: 1000) and
@@ -15,11 +16,14 @@ reports are comparable even though absolute seconds are not.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.bench.harness import Row, run_gmm_matrix, run_nn_matrix
+from repro.bench.harness import Row, run_matrix
 from repro.data import realsim
-from repro.data.normalized import binary_relations_pdf, multiway_relations_pdf
+from repro.data.realsim import DatasetSpec
 
 TABLE_ITERS = 5  # Table VI GMM iterations / Table VII NN epochs
 SWEEP_ITERS = 3  # figure sweeps
@@ -42,151 +46,102 @@ PAPER_TABLE7 = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Result tables (VI, VII)
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Config:
+    """One row of a table or figure: a dataset, its row scale and model size."""
+
+    spec: DatasetSpec
+    size: int  # GMM: K components; NN: nh hidden units
+    scale: float = 1.0
+
+    @property
+    def name(self) -> str:
+        return self.spec.name
+
+    def generate_pdf(self) -> tuple[pd.DataFrame, list[pd.DataFrame]]:
+        return self.spec.generate_pdf(self.scale)
 
 
-def table6_rows(
-    spark: SparkSession,
-    scale: float = realsim.ROW_SCALE,
-    iters: int = TABLE_ITERS,
-    datasets: list[str] | None = None,
-) -> list[Row]:
-    """Table VI: GMM on the simulated real datasets (K=5)."""
-    rows: list[Row] = []
-    for name, spec in realsim.GMM_REAL.items():
-        if datasets is not None and name not in datasets:
-            continue
-        s_pdf, r_pdfs = spec.generate_pdf(scale)
-        rows += run_gmm_matrix(spark, name, s_pdf, r_pdfs, k=5, iters=iters)
-    return rows
+# Result tables (VI, VII): K=5 / nh=50 on the simulated real datasets.
+TABLE6 = [Config(spec, 5, realsim.ROW_SCALE) for spec in realsim.GMM_REAL.values()]
+TABLE7 = [Config(spec, 50, realsim.ROW_SCALE) for spec in realsim.NN_REAL.values()]
 
-
-def table7_rows(
-    spark: SparkSession,
-    scale: float = realsim.ROW_SCALE,
-    epochs: int = TABLE_ITERS,
-    datasets: list[str] | None = None,
-) -> list[Row]:
-    """Table VII: NN on the simulated sparse datasets (nh=50, sigmoid)."""
-    rows: list[Row] = []
-    for name, spec in realsim.NN_REAL.items():
-        if datasets is not None and name not in datasets:
-            continue
-        s_pdf, r_pdfs = spec.generate_pdf(scale)
-        rows += run_nn_matrix(spark, name, s_pdf, r_pdfs, nh=50, epochs=epochs)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Figure sweeps (3-6) as tables — scaled synthetic grids on the paper's axes
-# ---------------------------------------------------------------------------
-
+# Figure sweeps (3-6) as tables — scaled synthetic grids on the paper's axes.
 _SWEEP_NR = 200  # paper: nR = 1000
 _SWEEP_NS = 100_000  # paper: nS = 1e6
 
 
-def fig3_rows(spark: SparkSession, iters: int = SWEEP_ITERS) -> list[Row]:
+def _binary_sweep(
+    seed: int, size_name: str, size: int, sizes: tuple, target: bool
+) -> list[Config]:
+    """(a) vary rr for dR in {5, 15}; (b) vary dR at rr=500; (c) vary K or nh."""
+    grid = [
+        (f"rr={rr},dR={d_r}", rr * _SWEEP_NR, d_r, size, seed)
+        for rr in (50, 500)
+        for d_r in (5, 15)
+    ]
+    grid += [(f"dR={d_r}", _SWEEP_NS, d_r, size, seed + 1) for d_r in (5, 15, 30)]
+    grid += [(f"{size_name}={m}", _SWEEP_NS, 15, m, seed + 2) for m in sizes]
+    return [
+        Config(DatasetSpec(name, n_s, 5, (_SWEEP_NR,), (d_r,), target=target, seed=sd), m)
+        for name, n_s, d_r, m, sd in grid
+    ]
+
+
+def _multiway_sweep(
+    seed: int, size_name: str, size: int, sizes: tuple, target: bool
+) -> list[Config]:
+    """q=2: (a) vary rr; (b) vary dR1; (c) vary K or nh."""
+    grid = [(f"3way rr={rr}", rr * _SWEEP_NR, 15, size, seed) for rr in (100, 500)]
+    grid += [(f"3way dR1={d_r1}", _SWEEP_NS, d_r1, size, seed + 1) for d_r1 in (5, 30)]
+    grid += [(f"3way {size_name}={m}", _SWEEP_NS, 15, m, seed + 2) for m in sizes]
+    return [
+        Config(
+            DatasetSpec(name, n_s, 2, (_SWEEP_NR, 100), (d_r1, 8), target=target, seed=sd), m
+        )
+        for name, n_s, d_r1, m, sd in grid
+    ]
+
+
+FIG3 = _binary_sweep(21, "K", 5, (2, 8), target=False)
+FIG4 = _multiway_sweep(31, "K", 5, (2, 8), target=False)
+FIG5 = _binary_sweep(41, "nh", 50, (25, 100), target=True)
+FIG6 = _multiway_sweep(51, "nh", 50, (25, 100), target=True)
+
+
+def _rows(spark: SparkSession, model: str, configs: list[Config], iters: int) -> list[Row]:
+    rows: list[Row] = []
+    for cfg in configs:
+        s_pdf, r_pdfs = cfg.generate_pdf()
+        rows += run_matrix(spark, model, cfg.name, s_pdf, r_pdfs, size=cfg.size, iters=iters)
+    return rows
+
+
+def table6_rows(spark: SparkSession) -> list[Row]:
+    """Table VI: GMM on the simulated real datasets (K=5)."""
+    return _rows(spark, "GMM", TABLE6, TABLE_ITERS)
+
+
+def table7_rows(spark: SparkSession) -> list[Row]:
+    """Table VII: NN on the simulated sparse datasets (nh=50, sigmoid)."""
+    return _rows(spark, "NN", TABLE7, TABLE_ITERS)
+
+
+def fig3_rows(spark: SparkSession) -> list[Row]:
     """Fig. 3: GMM binary-join sweeps — vary rr, vary dR, vary K."""
-    rows: list[Row] = []
-    for rr in (50, 500):  # (a) vary rr, for dR in {5, 15}
-        for d_r in (5, 15):
-            s, r = binary_relations_pdf(
-                n_s=rr * _SWEEP_NR, n_r=_SWEEP_NR, d_s=5, d_r=d_r, seed=21
-            )
-            rows += run_gmm_matrix(
-                spark, f"rr={rr},dR={d_r}", s, [r], k=5, iters=iters
-            )
-    for d_r in (5, 15, 30):  # (b) vary dR at rr=500
-        s, r = binary_relations_pdf(
-            n_s=_SWEEP_NS, n_r=_SWEEP_NR, d_s=5, d_r=d_r, seed=22
-        )
-        rows += run_gmm_matrix(spark, f"dR={d_r}", s, [r], k=5, iters=iters)
-    for k in (2, 8):  # (c) vary K at dR=15
-        s, r = binary_relations_pdf(
-            n_s=_SWEEP_NS, n_r=_SWEEP_NR, d_s=5, d_r=15, seed=23
-        )
-        rows += run_gmm_matrix(spark, f"K={k}", s, [r], k=k, iters=iters)
-    return rows
+    return _rows(spark, "GMM", FIG3, SWEEP_ITERS)
 
 
-def fig4_rows(spark: SparkSession, iters: int = SWEEP_ITERS) -> list[Row]:
+def fig4_rows(spark: SparkSession) -> list[Row]:
     """Fig. 4: GMM multi-way (q=2) sweeps — vary rr, vary dR1, vary K."""
-    rows: list[Row] = []
-    for rr in (100, 500):  # (a)
-        s, rs = multiway_relations_pdf(
-            n_s=rr * _SWEEP_NR, n_rs=[_SWEEP_NR, 100], d_s=2, d_rs=[15, 8], seed=31
-        )
-        rows += run_gmm_matrix(spark, f"3way rr={rr}", s, rs, k=5, iters=iters)
-    for d_r1 in (5, 30):  # (b)
-        s, rs = multiway_relations_pdf(
-            n_s=_SWEEP_NS, n_rs=[_SWEEP_NR, 100], d_s=2, d_rs=[d_r1, 8], seed=32
-        )
-        rows += run_gmm_matrix(spark, f"3way dR1={d_r1}", s, rs, k=5, iters=iters)
-    for k in (2, 8):  # (c)
-        s, rs = multiway_relations_pdf(
-            n_s=_SWEEP_NS, n_rs=[_SWEEP_NR, 100], d_s=2, d_rs=[15, 8], seed=33
-        )
-        rows += run_gmm_matrix(spark, f"3way K={k}", s, rs, k=k, iters=iters)
-    return rows
+    return _rows(spark, "GMM", FIG4, SWEEP_ITERS)
 
 
-def fig5_rows(spark: SparkSession, epochs: int = SWEEP_ITERS) -> list[Row]:
+def fig5_rows(spark: SparkSession) -> list[Row]:
     """Fig. 5: NN binary-join sweeps — vary rr, vary dR, vary nh."""
-    rows: list[Row] = []
-    for rr in (50, 500):  # (a)
-        for d_r in (5, 15):
-            s, r = binary_relations_pdf(
-                n_s=rr * _SWEEP_NR, n_r=_SWEEP_NR, d_s=5, d_r=d_r, seed=41, target=True
-            )
-            rows += run_nn_matrix(
-                spark, f"rr={rr},dR={d_r}", s, [r], nh=50, epochs=epochs
-            )
-    for d_r in (5, 15, 30):  # (b)
-        s, r = binary_relations_pdf(
-            n_s=_SWEEP_NS, n_r=_SWEEP_NR, d_s=5, d_r=d_r, seed=42, target=True
-        )
-        rows += run_nn_matrix(spark, f"dR={d_r}", s, [r], nh=50, epochs=epochs)
-    for nh in (25, 100):  # (c)
-        s, r = binary_relations_pdf(
-            n_s=_SWEEP_NS, n_r=_SWEEP_NR, d_s=5, d_r=15, seed=43, target=True
-        )
-        rows += run_nn_matrix(spark, f"nh={nh}", s, [r], nh=nh, epochs=epochs)
-    return rows
+    return _rows(spark, "NN", FIG5, SWEEP_ITERS)
 
 
-def fig6_rows(spark: SparkSession, epochs: int = SWEEP_ITERS) -> list[Row]:
+def fig6_rows(spark: SparkSession) -> list[Row]:
     """Fig. 6: NN multi-way (q=2) sweeps — vary rr, vary dR1, vary nh."""
-    rows: list[Row] = []
-    for rr in (100, 500):  # (a)
-        s, rs = multiway_relations_pdf(
-            n_s=rr * _SWEEP_NR,
-            n_rs=[_SWEEP_NR, 100],
-            d_s=2,
-            d_rs=[15, 8],
-            seed=51,
-            target=True,
-        )
-        rows += run_nn_matrix(spark, f"3way rr={rr}", s, rs, nh=50, epochs=epochs)
-    for d_r1 in (5, 30):  # (b)
-        s, rs = multiway_relations_pdf(
-            n_s=_SWEEP_NS,
-            n_rs=[_SWEEP_NR, 100],
-            d_s=2,
-            d_rs=[d_r1, 8],
-            seed=52,
-            target=True,
-        )
-        rows += run_nn_matrix(spark, f"3way dR1={d_r1}", s, rs, nh=50, epochs=epochs)
-    for nh in (25, 100):  # (c)
-        s, rs = multiway_relations_pdf(
-            n_s=_SWEEP_NS,
-            n_rs=[_SWEEP_NR, 100],
-            d_s=2,
-            d_rs=[15, 8],
-            seed=53,
-            target=True,
-        )
-        rows += run_nn_matrix(spark, f"3way nh={nh}", s, rs, nh=nh, epochs=epochs)
-    return rows
+    return _rows(spark, "NN", FIG6, SWEEP_ITERS)

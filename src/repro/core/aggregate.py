@@ -6,9 +6,12 @@ Every trainer in this repo is an iterative loop of the shape
 
 where ``stats`` is a fixed collection of named NumPy arrays (sufficient
 statistics or gradients). ``StatLayout`` flattens such a collection into one
-1-D float64 vector (so partial results add with a single ``+``), and
+1-D float64 vector (so partial results add with a single ``+``),
 ``aggregate_partitions`` runs one ``mapInPandas`` pass that emits one
-pickled partial vector per partition and reduces them on the driver.
+pickled partial vector per partition and reduces them on the driver, and
+``fit`` is the loop itself, shared by all six M/S/F trainers: each supplies
+only a ``step`` that makes one pass and returns the tracked metric and the
+updated parameters.
 
 Why one-row-per-partition + driver reduce instead of exploding the vector into
 (index, value) rows and ``groupBy().sum()``: the stat vectors are tiny (KBs to
@@ -20,12 +23,15 @@ aggregation path is still exercised — and oracle-checked — by the per-FK
 from __future__ import annotations
 
 import pickle
+import time
 from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.types import BinaryType, StructField, StructType
+
+from repro.core.params import TrainResult
 
 
 class StatLayout:
@@ -92,3 +98,41 @@ def aggregate_partitions(
     for row in rows:
         total += pickle.loads(row["stats"])
     return total
+
+
+def fit(
+    init,
+    step: Callable[[object], tuple[float, object]],
+    iters: int,
+    *,
+    tol: float | None = None,
+    materialize_s: float = 0.0,
+) -> TrainResult:
+    """Run ``step`` up to ``iters`` times from a copy of ``init``.
+
+    ``step(params) -> (metric, next_params)``; ``metric`` is evaluated at
+    ``params`` (GMM: log-likelihood; NN: training loss) and appended to the
+    history. With ``tol`` set, the loop stops after the first pass whose
+    metric moved by less than ``tol`` from the previous one (Eq. 6).
+    ``materialize_s`` is the time the caller spent before the loop (M-*'s
+    join + write) and enters ``timings["total"]``.
+    """
+    params = init.copy()
+    history: list[float] = []
+    t0 = time.perf_counter()
+    for _ in range(iters):
+        metric, params = step(params)
+        converged = tol is not None and len(history) > 0 and abs(metric - history[-1]) < tol
+        history.append(metric)
+        if converged:
+            break
+    t_train = time.perf_counter() - t0
+    return TrainResult(
+        params=params,
+        history=history,
+        timings={
+            "materialize": materialize_s,
+            "train": t_train,
+            "total": materialize_s + t_train,
+        },
+    )

@@ -4,10 +4,10 @@ Implements, in vectorized NumPy:
 
 * the dense (unfactorized) Mahalanobis quadratic form used by M-GMM / S-GMM
   and the reference trainer;
-* the binary-join factorization of Eq. 7-12: the quadratic form
-  ``(x - mu)^T I (x - mu)`` split into ``UL + UR + LL + LR`` where every term
-  touching only ``x_R`` is precomputed once per R tuple;
-* the multi-way generalization of Eq. 19-21;
+* the factorization of Eq. 7-12 and its multi-way generalization, Eq. 19-21:
+  the quadratic form ``(x - mu)^T I (x - mu)`` split into block terms where
+  every term touching only ``x_R`` is precomputed once per R tuple (a binary
+  join is the q=1 case, whose terms are Eq. 9-12's ``UL + UR + LL + LR``);
 * responsibility (E-step) computation from quadratic forms, shared verbatim by
   every trainer so that exactness across M/S/F is down to float reassociation.
 
@@ -76,69 +76,6 @@ def log_responsibilities(
     lse = m[:, 0] + np.log(np.exp(logw - m).sum(axis=1))
     gamma = np.exp(logw - lse[:, None])
     return gamma, lse
-
-
-# ---------------------------------------------------------------------------
-# Binary-join factorization (Eq. 7-12)
-# ---------------------------------------------------------------------------
-
-
-def factorized_terms_binary(
-    xr: np.ndarray, mu: np.ndarray, prec: np.ndarray, d_s: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-R-tuple reusable terms of the factorized quadratic form.
-
-    For each R tuple ``r`` and component ``k`` with ``PD_R = x_R[r] - mu_R[k]``:
-
-    * ``c[r, k] = PD_R^T I_RR PD_R``  — the LR term (Eq. 12), a scalar;
-    * ``w[r, k, :] = I_SR PD_R``      — the dS-vector such that
-      ``UR + LL = 2 * PD_S . w`` (Eq. 10-11, using symmetry of I).
-
-    These are computed **once per R tuple** (nR of them) instead of once per
-    joined tuple (N of them) — the source of F-GMM's savings.
-    """
-    n_r, d_r = xr.shape
-    k = mu.shape[0]
-    c = np.empty((n_r, k))
-    w = np.empty((n_r, k, d_s))
-    for i in range(k):
-        pd_r = xr - mu[i, d_s:]
-        i_rr = prec[i, d_s:, d_s:]
-        i_sr = prec[i, :d_s, d_s:]
-        c[:, i] = np.einsum("nd,nd->n", pd_r @ i_rr, pd_r)
-        w[:, i, :] = pd_r @ i_sr.T
-    return c, w
-
-
-def factorized_quadratic_binary(
-    xs: np.ndarray,
-    fk_idx: np.ndarray,
-    mu: np.ndarray,
-    prec: np.ndarray,
-    c: np.ndarray,
-    w: np.ndarray,
-) -> np.ndarray:
-    """Quadratic forms for a batch of S tuples using precomputed R terms.
-
-    ``q[n, k] = PD_S^T I_SS PD_S + 2 PD_S . w[fk(n), k] + c[fk(n), k]``
-    — per-tuple cost O(dS^2 + dS) instead of O(d^2). Exactly equals
-    ``dense_quadratic`` on the joined vectors (Eq. 7 = Eq. 9+10+11+12).
-    """
-    n = xs.shape[0]
-    k = mu.shape[0]
-    d_s = xs.shape[1]
-    quad = np.empty((n, k))
-    cg = c[fk_idx]  # (N, K)
-    wg = w[fk_idx]  # (N, K, dS)
-    for i in range(k):
-        pd_s = xs - mu[i, :d_s]
-        i_ss = prec[i, :d_s, :d_s]
-        quad[:, i] = (
-            np.einsum("nd,nd->n", pd_s @ i_ss, pd_s)
-            + 2.0 * np.einsum("nd,nd->n", pd_s, wg[:, i, :])
-            + cg[:, i]
-        )
-    return quad
 
 
 # ---------------------------------------------------------------------------

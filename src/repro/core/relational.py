@@ -56,17 +56,18 @@ def denormalize(
 def collect_dimension_tables(r_dfs: list[DataFrame]) -> list[np.ndarray]:
     """Collect each R_i to a dense (nRi, dRi) matrix ordered by rid.
 
-    Relies on rid being the contiguous range 1..nR (generator invariant), so
+    Requires rid to be the contiguous range 1..nR (generator invariant), so
     row ``r`` of the matrix is the tuple with ``rid = r + 1`` and F-* trainers
-    resolve the FK by array indexing instead of a join.
+    resolve the FK by array indexing instead of a join. Raises ``ValueError``
+    naming the table otherwise, since indexing by ``fk - 1`` would then read
+    the wrong R rows.
     """
     out = []
     for t, r in enumerate(r_dfs, start=1):
         d_r = sum(1 for c in r.columns if c.startswith(f"xr{t}_"))
         pdf = r.toPandas().sort_values("rid").reset_index(drop=True)
-        assert (pdf["rid"].to_numpy() == np.arange(1, len(pdf) + 1)).all(), (
-            "rid must be contiguous 1..nR"
-        )
+        if not np.array_equal(pdf["rid"].to_numpy(), np.arange(1, len(pdf) + 1)):
+            raise ValueError(f"R{t}: rid must be the contiguous range 1..{len(pdf)}")
         out.append(pdf[r_feature_cols(d_r, t)].to_numpy(dtype=np.float64))
     return out
 

@@ -15,7 +15,7 @@ Conventions relied on throughout the repo:
   ``repro.core.linalg``.
 
 Generators are deterministic in ``seed`` and produce pandas frames
-(``*_pdf``) plus thin Spark wrappers, so the DuckDB oracle and the NumPy
+(``*_pdf``; ``to_spark`` converts one), so the DuckDB oracle and the NumPy
 reference trainers see byte-identical data.
 """
 from __future__ import annotations
@@ -143,22 +143,6 @@ def binary_relations_pdf(
 
 def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     return spark.createDataFrame(pdf)
-
-
-def binary_relations(
-    spark: SparkSession, **kwargs
-) -> tuple[DataFrame, DataFrame]:
-    """Spark version of ``binary_relations_pdf`` (same kwargs)."""
-    s, r = binary_relations_pdf(**kwargs)
-    return to_spark(spark, s), to_spark(spark, r)
-
-
-def multiway_relations(
-    spark: SparkSession, **kwargs
-) -> tuple[DataFrame, list[DataFrame]]:
-    """Spark version of ``multiway_relations_pdf`` (same kwargs)."""
-    s, rs = multiway_relations_pdf(**kwargs)
-    return to_spark(spark, s), [to_spark(spark, r) for r in rs]
 
 
 def densify_pdf(

@@ -50,6 +50,10 @@ class DatasetSpec:
     def q(self) -> int:
         return len(self.n_rs)
 
+    @property
+    def d(self) -> int:
+        return self.d_s + sum(self.d_rs)
+
     def scaled(self, scale: float = ROW_SCALE) -> dict:
         """Generator kwargs with row counts scaled, dims exact."""
         return dict(

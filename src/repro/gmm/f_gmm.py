@@ -17,11 +17,9 @@ matrices inside the Arrow batches.
 """
 from __future__ import annotations
 
-import time
-
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.aggregate import aggregate_partitions
+from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.em_ref import mstep_from_moments
 from repro.core.linalg import MultiwayTerms
 from repro.core.params import GMMParams, TrainResult
@@ -42,7 +40,6 @@ def train_f_gmm(
     *,
     init: GMMParams,
     iters: int = 10,
-    reg_covar: float = 1e-6,
     tol: float | None = None,
 ) -> TrainResult:
     """Train a GMM fully factorized over S and R1..Rq (algorithm F-GMM)."""
@@ -55,37 +52,27 @@ def train_f_gmm(
     fks = fk_cols(q)
     s_in = s_df.select(*s_input_cols(d_s, q))
 
-    params = init.copy()
-    layout = factorized_layout(params.k, d_s, n_rs, d_rs)
+    layout = factorized_layout(init.k, d_s, n_rs, d_rs)
     n_total = None
-    history: list[float] = []
-    t0 = time.perf_counter()
     # Ship the dimension matrices to executors once, not per iteration.
     bc_xrs = spark.sparkContext.broadcast(xrs)
+
+    def step(params):
+        nonlocal n_total
+        payload = gmm_payload(params)
+        # Per-R-tuple terms: the "compute once, reuse rr times" step.
+        terms = MultiwayTerms(xrs, params.mu, payload["prec"], [d_s, *d_rs])
+        batch_fn = _make_batch_fn(payload, terms, bc_xrs, s_cols, fks, layout)
+        stats = layout.unpack(aggregate_partitions(s_in, batch_fn, layout.size))
+        nk, sx, sxx, ll = assemble_moments(stats, xrs)
+        if n_total is None:
+            n_total = float(nk.sum())
+        return ll, mstep_from_moments(nk, sx, sxx, n_total)
+
     try:
-        for _ in range(iters):
-            payload = gmm_payload(params)
-            # Per-R-tuple terms: the "compute once, reuse rr times" step.
-            terms = MultiwayTerms(xrs, params.mu, payload["prec"], [d_s, *d_rs])
-            batch_fn = _make_batch_fn(payload, terms, bc_xrs, s_cols, fks, layout)
-            flat = aggregate_partitions(s_in, batch_fn, layout.size)
-            stats = layout.unpack(flat)
-            nk, sx, sxx, ll = assemble_moments(stats, xrs)
-            if n_total is None:
-                n_total = float(nk.sum())
-            params = mstep_from_moments(nk, sx, sxx, n_total, reg_covar)
-            if tol is not None and history and abs(ll - history[-1]) < tol:
-                history.append(ll)
-                break
-            history.append(ll)
+        return fit(init, step, iters, tol=tol)
     finally:
         bc_xrs.unpersist()
-    t_train = time.perf_counter() - t0
-    return TrainResult(
-        params=params,
-        history=history,
-        timings={"materialize": 0.0, "train": t_train, "total": t_train},
-    )
 
 
 def _make_batch_fn(payload, terms, bc_xrs, s_cols, fks, layout):

@@ -11,7 +11,7 @@ import time
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.aggregate import aggregate_partitions
+from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.em_ref import mstep_from_moments
 from repro.core.params import GMMParams, TrainResult
 from repro.core.relational import as_list, denormalize, infer_dims, joined_feature_cols
@@ -26,7 +26,6 @@ def train_m_gmm(
     init: GMMParams,
     iters: int = 10,
     tmpdir: str,
-    reg_covar: float = 1e-6,
     tol: float | None = None,
 ) -> TrainResult:
     """Train a GMM via materialized denormalization (baseline M-GMM)."""
@@ -39,32 +38,19 @@ def train_m_gmm(
     denormalize(s_df, r_dfs).write.mode("overwrite").parquet(path)
     t_mat = time.perf_counter() - t0
 
-    params = init.copy()
-    layout = dense_layout(params.k, params.d)
+    layout = dense_layout(init.k, init.d)
     n_total = None
-    history: list[float] = []
-    t1 = time.perf_counter()
-    for _ in range(iters):
+
+    def step(params):
+        nonlocal n_total
         # Re-read the wide materialized table every pass, as Algorithm 1 does.
         t_df = spark.read.parquet(path).select(*feat_cols)
-        payload = gmm_payload(params)
-        flat = aggregate_partitions(
-            t_df, make_dense_batch_fn(payload, feat_cols, layout), layout.size
-        )
-        stats = layout.unpack(flat)
+        batch_fn = make_dense_batch_fn(gmm_payload(params), feat_cols, layout)
+        stats = layout.unpack(aggregate_partitions(t_df, batch_fn, layout.size))
         if n_total is None:
             n_total = float(stats["nk"].sum())
-        ll = float(stats["ll"])
-        params = mstep_from_moments(
-            stats["nk"], stats["sx"], stats["sxx"], n_total, reg_covar
+        return float(stats["ll"]), mstep_from_moments(
+            stats["nk"], stats["sx"], stats["sxx"], n_total
         )
-        if tol is not None and history and abs(ll - history[-1]) < tol:
-            history.append(ll)
-            break
-        history.append(ll)
-    t_train = time.perf_counter() - t1
-    return TrainResult(
-        params=params,
-        history=history,
-        timings={"materialize": t_mat, "train": t_train, "total": t_mat + t_train},
-    )
+
+    return fit(init, step, iters, tol=tol, materialize_s=t_mat)

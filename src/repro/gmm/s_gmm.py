@@ -9,11 +9,9 @@ storage + wide re-reads.
 """
 from __future__ import annotations
 
-import time
-
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.aggregate import aggregate_partitions
+from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.em_ref import mstep_from_moments
 from repro.core.params import GMMParams, TrainResult
 from repro.core.relational import as_list, denormalize, infer_dims, joined_feature_cols
@@ -27,7 +25,6 @@ def train_s_gmm(
     *,
     init: GMMParams,
     iters: int = 10,
-    reg_covar: float = 1e-6,
     tol: float | None = None,
 ) -> TrainResult:
     """Train a GMM with the join computed on the fly each pass (S-GMM)."""
@@ -35,32 +32,19 @@ def train_s_gmm(
     d_s, d_rs = infer_dims(s_df, r_dfs)
     feat_cols = joined_feature_cols(d_s, d_rs)
 
-    params = init.copy()
-    layout = dense_layout(params.k, params.d)
+    layout = dense_layout(init.k, init.d)
     n_total = None
-    history: list[float] = []
-    t0 = time.perf_counter()
-    for _ in range(iters):
+
+    def step(params):
+        nonlocal n_total
         # A fresh join plan per pass: the shuffle executes every iteration.
         t_df = denormalize(s_df, r_dfs).select(*feat_cols)
-        payload = gmm_payload(params)
-        flat = aggregate_partitions(
-            t_df, make_dense_batch_fn(payload, feat_cols, layout), layout.size
-        )
-        stats = layout.unpack(flat)
+        batch_fn = make_dense_batch_fn(gmm_payload(params), feat_cols, layout)
+        stats = layout.unpack(aggregate_partitions(t_df, batch_fn, layout.size))
         if n_total is None:
             n_total = float(stats["nk"].sum())
-        ll = float(stats["ll"])
-        params = mstep_from_moments(
-            stats["nk"], stats["sx"], stats["sxx"], n_total, reg_covar
+        return float(stats["ll"]), mstep_from_moments(
+            stats["nk"], stats["sx"], stats["sxx"], n_total
         )
-        if tol is not None and history and abs(ll - history[-1]) < tol:
-            history.append(ll)
-            break
-        history.append(ll)
-    t_train = time.perf_counter() - t0
-    return TrainResult(
-        params=params,
-        history=history,
-        timings={"materialize": 0.0, "train": t_train, "total": t_train},
-    )
+
+    return fit(init, step, iters, tol=tol)

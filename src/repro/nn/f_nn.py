@@ -12,13 +12,11 @@ saving).
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.aggregate import aggregate_partitions
+from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.nn_ref import ACTIVATIONS, apply_gradients
 from repro.core.params import NNParams, TrainResult
 from repro.core.relational import as_list, collect_dimension_tables, infer_dims, s_input_cols
@@ -52,26 +50,19 @@ def train_f_nn(
     fks = fk_cols(q)
     s_in = s_df.select(*s_input_cols(d_s, q, extra_cols=["y"]))
 
-    p = init.copy()
-    layout = factorized_grad_layout(p.nh, d_s, n_rs)
+    layout = factorized_grad_layout(init.nh, d_s, n_rs)
     act = ACTIVATIONS[activation]
-    history: list[float] = []
-    t0 = time.perf_counter()
-    for _ in range(epochs):
+
+    def step(p):
         # Once per epoch, once per R tuple: the reused layer-1 partials.
         t2s = reuse_terms(p, xrs, d_s)
         w1s, _ = split_w1(p.w1, d_s, d_rs)
         batch_fn = _make_batch_fn(p, w1s, t2s, act, s_cols, fks, layout)
         flat = aggregate_partitions(s_in, batch_fn, layout.size)
         grads, loss = finalize_factorized(layout.unpack(flat), xrs)
-        history.append(loss)
-        p = apply_gradients(p, grads, lr)
-    t_train = time.perf_counter() - t0
-    return TrainResult(
-        params=p,
-        history=history,
-        timings={"materialize": 0.0, "train": t_train, "total": t_train},
-    )
+        return loss, apply_gradients(p, grads, lr)
+
+    return fit(init, step, epochs)
 
 
 def _make_batch_fn(p: NNParams, w1s, t2s, act, s_cols, fks, layout):

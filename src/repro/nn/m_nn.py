@@ -12,7 +12,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.aggregate import aggregate_partitions
+from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.nn_ref import ACTIVATIONS, apply_gradients
 from repro.core.params import NNParams, TrainResult
 from repro.core.relational import as_list, denormalize, infer_dims, joined_feature_cols
@@ -51,21 +51,13 @@ def train_m_nn(
     denormalize(s_df, r_dfs, extra_cols=["y"]).write.mode("overwrite").parquet(path)
     t_mat = time.perf_counter() - t0
 
-    p = init.copy()
-    layout = dense_grad_layout(p.nh, p.d)
-    history: list[float] = []
-    t1 = time.perf_counter()
-    for _ in range(epochs):
+    layout = dense_grad_layout(init.nh, init.d)
+
+    def step(p):
         t_df = spark.read.parquet(path).select("y", *feat_cols)
-        flat = aggregate_partitions(
-            t_df, _dense_batch_fn(p, activation, feat_cols, layout), layout.size
-        )
+        batch_fn = _dense_batch_fn(p, activation, feat_cols, layout)
+        flat = aggregate_partitions(t_df, batch_fn, layout.size)
         grads, loss = finalize_dense(layout.unpack(flat))
-        history.append(loss)
-        p = apply_gradients(p, grads, lr)
-    t_train = time.perf_counter() - t1
-    return TrainResult(
-        params=p,
-        history=history,
-        timings={"materialize": t_mat, "train": t_train, "total": t_mat + t_train},
-    )
+        return loss, apply_gradients(p, grads, lr)
+
+    return fit(init, step, epochs, materialize_s=t_mat)

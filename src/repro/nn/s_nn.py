@@ -6,11 +6,9 @@ the unfactorized forward/backward over the wide joined rows.
 """
 from __future__ import annotations
 
-import time
-
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.aggregate import aggregate_partitions
+from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.nn_ref import apply_gradients
 from repro.core.params import NNParams, TrainResult
 from repro.core.relational import as_list, denormalize, infer_dims, joined_feature_cols
@@ -33,21 +31,13 @@ def train_s_nn(
     d_s, d_rs = infer_dims(s_df, r_dfs)
     feat_cols = joined_feature_cols(d_s, d_rs)
 
-    p = init.copy()
-    layout = dense_grad_layout(p.nh, p.d)
-    history: list[float] = []
-    t0 = time.perf_counter()
-    for _ in range(epochs):
+    layout = dense_grad_layout(init.nh, init.d)
+
+    def step(p):
         t_df = denormalize(s_df, r_dfs, extra_cols=["y"]).select("y", *feat_cols)
-        flat = aggregate_partitions(
-            t_df, _dense_batch_fn(p, activation, feat_cols, layout), layout.size
-        )
+        batch_fn = _dense_batch_fn(p, activation, feat_cols, layout)
+        flat = aggregate_partitions(t_df, batch_fn, layout.size)
         grads, loss = finalize_dense(layout.unpack(flat))
-        history.append(loss)
-        p = apply_gradients(p, grads, lr)
-    t_train = time.perf_counter() - t0
-    return TrainResult(
-        params=p,
-        history=history,
-        timings={"materialize": 0.0, "train": t_train, "total": t_train},
-    )
+        return loss, apply_gradients(p, grads, lr)
+
+    return fit(init, step, epochs)

@@ -1,9 +1,11 @@
-"""The mapInPandas flat-statistics aggregation layer (core/aggregate.py)."""
+"""The mapInPandas flat-statistics aggregation layer and the shared training
+loop ``fit`` (core/aggregate.py)."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.aggregate import StatLayout, aggregate_partitions
+from repro.core.aggregate import StatLayout, aggregate_partitions, fit
+from repro.core.params import NNParams, init_nn
 from repro.data.normalized import to_spark
 
 
@@ -62,3 +64,46 @@ def test_partitioning_invariance(spark):
         outs.append(aggregate_partitions(d, batch_fn, layout.size))
     np.testing.assert_allclose(outs[0], outs[1], rtol=1e-9)
     np.testing.assert_allclose(outs[0], outs[2], rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# fit: the training loop shared by every M/S/F trainer (no Spark involved)
+# ---------------------------------------------------------------------------
+
+
+def _counting_step(metrics):
+    """A step whose metric is ``metrics[b2]`` and which increments ``b2``."""
+
+    def step(p):
+        return metrics[int(p.b2)], NNParams(p.w1, p.b1, p.w2, p.b2 + 1.0)
+
+    return step
+
+
+def test_fit_tol_stops_at_first_small_change():
+    metrics = [0.0, 10.0, 15.0, 17.0, 17.5, 17.6, 17.65]
+    res = fit(init_nn(2, 3, 0), _counting_step(metrics), 6, tol=1.0)
+    assert res.history == [0.0, 10.0, 15.0, 17.0, 17.5]
+    assert res.params.b2 == 5.0
+
+
+def test_fit_without_tol_runs_every_iteration():
+    res = fit(init_nn(2, 3, 0), _counting_step([3.0, 3.0, 3.0]), 3)
+    assert res.history == [3.0, 3.0, 3.0]
+
+
+def test_fit_zero_iters_returns_copy_of_init():
+    init = init_nn(2, 3, 0)
+    res = fit(init, _counting_step([]), 0, tol=1.0, materialize_s=0.25)
+    assert res.history == []
+    assert res.params is not init and res.params.w1 is not init.w1
+    np.testing.assert_array_equal(res.params.w1, init.w1)
+    assert res.timings["materialize"] == 0.25
+
+
+def test_fit_timings_add_up():
+    res = fit(init_nn(2, 3, 0), _counting_step([1.0, 2.0]), 2, materialize_s=1.5)
+    t = res.timings
+    assert t["materialize"] == 1.5
+    assert t["train"] > 0
+    assert t["total"] == t["materialize"] + t["train"]

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from repro.bench.harness import Row, _check_agreement, format_rows, run_gmm_matrix, run_nn_matrix
+from repro.bench.harness import Row, _check_agreement, format_rows, run_matrix
 from repro.core.params import TrainResult
 from repro.data.normalized import binary_relations_pdf
 
@@ -15,7 +15,7 @@ def tiny():
 
 def test_run_gmm_matrix_rows(spark, tiny):
     s, r = tiny
-    rows = run_gmm_matrix(spark, "tiny", s, [r], k=2, iters=2)
+    rows = run_matrix(spark, "GMM", "tiny", s, [r], size=2, iters=2)
     assert [row.algo for row in rows] == ["M-GMM", "S-GMM", "F-GMM"]
     assert all(row.dataset == "tiny" for row in rows)
     assert all(row.seconds > 0 for row in rows)
@@ -25,16 +25,10 @@ def test_run_gmm_matrix_rows(spark, tiny):
 
 def test_run_nn_matrix_rows(spark, tiny):
     s, r = tiny
-    rows = run_nn_matrix(spark, "tiny", s, [r], nh=4, epochs=2)
+    rows = run_matrix(spark, "NN", "tiny", s, [r], size=4, iters=2)
     assert [row.algo for row in rows] == ["M-NN", "S-NN", "F-NN"]
     assert rows[0].materialize_s > 0  # M materializes
     assert rows[2].materialize_s == 0.0  # F does not
-
-
-def test_run_matrix_algo_subset(spark, tiny):
-    s, r = tiny
-    rows = run_gmm_matrix(spark, "tiny", s, [r], k=2, iters=1, algos=("S", "F"))
-    assert [row.algo for row in rows] == ["S-GMM", "F-GMM"]
 
 
 def test_check_agreement_raises_on_divergence():

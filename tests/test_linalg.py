@@ -2,8 +2,8 @@
 
 These are the paper's central algebraic claims: the Mahalanobis quadratic
 form of a joined tuple equals the sum of the UL/UR/LL/LR block terms
-(binary), and of the (q+1)^2 block terms (multi-way), with every R-side term
-computed from the normalized relations alone.
+(binary, the q=1 case), and of the (q+1)^2 block terms (multi-way), with
+every R-side term computed from the normalized relations alone.
 """
 import numpy as np
 import pytest
@@ -14,9 +14,7 @@ from repro.core.linalg import (
     MultiwayTerms,
     block_offsets,
     dense_quadratic,
-    factorized_quadratic_binary,
     factorized_quadratic_multiway,
-    factorized_terms_binary,
     log_responsibilities,
     precisions_and_logdets,
 )
@@ -33,14 +31,6 @@ def _random_gmm(d: int, k: int, seed: int):
     sigma = np.stack([_random_spd(d, rng) for _ in range(k)])
     pi = rng.dirichlet(np.ones(k))
     return pi, mu, sigma
-
-
-def _joined(rng, n, n_r, d_s, d_r):
-    xs = rng.normal(size=(n, d_s))
-    xr = rng.normal(size=(n_r, d_r))
-    fk = rng.integers(0, n_r, size=n)
-    x = np.concatenate([xs, xr[fk]], axis=1)
-    return xs, xr, fk, x
 
 
 # ---------------------------------------------------------------------------
@@ -115,68 +105,11 @@ def test_responsibilities_normalize_and_match_direct(seed):
 
 
 # ---------------------------------------------------------------------------
-# binary factorization (Eq. 7-12)
+# factorization: binary (Eq. 7-12) is the q=1 case of multi-way (Eq. 19-21)
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d_s,d_r", [(1, 1), (2, 3), (5, 15), (7, 2), (3, 30)])
-@pytest.mark.parametrize("k", [1, 2, 5])
-def test_factorized_binary_equals_dense(d_s, d_r, k):
-    seed = d_s * 100 + d_r * 10 + k
-    rng = np.random.default_rng(seed)
-    d = d_s + d_r
-    pi, mu, sigma = _random_gmm(d, k, seed)
-    prec, _ = precisions_and_logdets(sigma)
-    xs, xr, fk, x = _joined(rng, 50, 8, d_s, d_r)
-    c, w = factorized_terms_binary(xr, mu, prec, d_s)
-    quad_f = factorized_quadratic_binary(xs, fk, mu, prec, c, w)
-    quad_d = dense_quadratic(x, mu, prec)
-    np.testing.assert_allclose(quad_f, quad_d, rtol=1e-9, atol=1e-9)
-
-
-def test_factorized_terms_shapes():
-    rng = np.random.default_rng(0)
-    d_s, d_r, k, n_r = 3, 4, 2, 6
-    _, mu, sigma = _random_gmm(d_s + d_r, k, 0)
-    prec, _ = precisions_and_logdets(sigma)
-    xr = rng.normal(size=(n_r, d_r))
-    c, w = factorized_terms_binary(xr, mu, prec, d_s)
-    assert c.shape == (n_r, k)
-    assert w.shape == (n_r, k, d_s)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    d_s=st.integers(1, 6),
-    d_r=st.integers(1, 6),
-    k=st.integers(1, 4),
-    seed=st.integers(0, 10_000),
-)
-def test_factorized_binary_equals_dense_hypothesis(d_s, d_r, k, seed):
-    rng = np.random.default_rng(seed)
-    d = d_s + d_r
-    _, mu, sigma = _random_gmm(d, k, seed)
-    prec, _ = precisions_and_logdets(sigma)
-    xs, xr, fk, x = _joined(rng, 20, 5, d_s, d_r)
-    c, w = factorized_terms_binary(xr, mu, prec, d_s)
-    np.testing.assert_allclose(
-        factorized_quadratic_binary(xs, fk, mu, prec, c, w),
-        dense_quadratic(x, mu, prec),
-        rtol=1e-8,
-        atol=1e-8,
-    )
-
-
-# ---------------------------------------------------------------------------
-# multi-way factorization (Eq. 19-21)
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "d_s,d_rs", [(2, [3]), (2, [3, 4]), (3, [2, 2, 5]), (1, [1, 1]), (4, [6, 3, 2, 5])]
-)
-@pytest.mark.parametrize("k", [1, 3])
-def test_factorized_multiway_equals_dense(d_s, d_rs, k):
+def _assert_factorized_equals_dense(d_s, d_rs, k):
     seed = sum(d_rs) * 10 + d_s + k
     rng = np.random.default_rng(seed)
     d = d_s + sum(d_rs)
@@ -192,18 +125,32 @@ def test_factorized_multiway_equals_dense(d_s, d_rs, k):
     np.testing.assert_allclose(quad_f, dense_quadratic(x, mu, prec), rtol=1e-9, atol=1e-9)
 
 
-def test_multiway_terms_match_binary_for_q1():
-    """q=1 multiway machinery must coincide with the binary-specific path."""
-    rng = np.random.default_rng(3)
-    d_s, d_r, k = 3, 4, 2
-    _, mu, sigma = _random_gmm(d_s + d_r, k, 3)
+@pytest.mark.parametrize("d_s,d_r", [(1, 1), (2, 3), (5, 15), (7, 2), (3, 30)])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_factorized_binary_equals_dense(d_s, d_r, k):
+    """Eq. 9-12's UL + UR + LL + LR: the q-way terms with one attribute table."""
+    _assert_factorized_equals_dense(d_s, [d_r], k)
+
+
+@pytest.mark.parametrize(
+    "d_s,d_rs", [(2, [3]), (2, [3, 4]), (3, [2, 2, 5]), (1, [1, 1]), (4, [6, 3, 2, 5])]
+)
+@pytest.mark.parametrize("k", [1, 3])
+def test_factorized_multiway_equals_dense(d_s, d_rs, k):
+    _assert_factorized_equals_dense(d_s, d_rs, k)
+
+
+def test_factorized_terms_shapes():
+    rng = np.random.default_rng(0)
+    d_s, d_rs, n_rs, k = 3, [4, 2], [6, 5], 2
+    _, mu, sigma = _random_gmm(d_s + sum(d_rs), k, 0)
     prec, _ = precisions_and_logdets(sigma)
-    xs, xr, fk, _ = _joined(rng, 30, 6, d_s, d_r)
-    c, w = factorized_terms_binary(xr, mu, prec, d_s)
-    qb = factorized_quadratic_binary(xs, fk, mu, prec, c, w)
-    terms = MultiwayTerms([xr], mu, prec, [d_s, d_r])
-    qm = factorized_quadratic_multiway(xs, [fk], mu, prec, terms)
-    np.testing.assert_allclose(qb, qm, rtol=1e-12)
+    xrs = [rng.normal(size=(n_r, d_r)) for n_r, d_r in zip(n_rs, d_rs)]
+    terms = MultiwayTerms(xrs, mu, prec, [d_s, *d_rs])
+    assert [pd.shape for pd in terms.pd] == [(6, k, 4), (5, k, 2)]
+    assert [c.shape for c in terms.c] == [(6, k), (5, k)]
+    assert [w.shape for w in terms.w0] == [(6, k, d_s), (5, k, d_s)]
+    assert {key: u.shape for key, u in terms.u.items()} == {(1, 2): (5, k, 4)}
 
 
 @settings(max_examples=15, deadline=None)

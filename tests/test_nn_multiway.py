@@ -6,11 +6,6 @@ from repro.core.nn_ref import nn_fit
 from repro.core.params import init_nn
 from repro.data.normalized import densify_pdf, multiway_relations_pdf, to_spark
 from repro.nn import train_f_nn, train_m_nn, train_s_nn
-from repro.nn.multiway import (
-    train_f_nn_multiway,
-    train_m_nn_multiway,
-    train_s_nn_multiway,
-)
 
 CONFIGS = {
     "q2": dict(n_s=1200, n_rs=[15, 10], d_s=2, d_rs=[3, 2], nh=5, epochs=3, seed=0),
@@ -57,8 +52,3 @@ def test_history_matches_reference(trained, algo):
     _, ref, results = trained
     np.testing.assert_allclose(results[algo].history, ref.history, rtol=1e-10)
 
-
-def test_multiway_aliases_are_the_general_trainers():
-    assert train_m_nn_multiway is train_m_nn
-    assert train_s_nn_multiway is train_s_nn
-    assert train_f_nn_multiway is train_f_nn

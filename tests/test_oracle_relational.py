@@ -134,9 +134,11 @@ def test_collect_dimension_tables_order_and_values(threeway):
 
 
 def test_collect_dimension_tables_rejects_non_contiguous_rid(spark):
-    bad = pd.DataFrame({"rid": [1, 3, 4], "xr1_0": [0.1, 0.2, 0.3]})
-    with pytest.raises(AssertionError, match="contiguous"):
-        collect_dimension_tables([to_spark(spark, bad)])
+    """A rid gap must raise even under ``python -O`` and name the table."""
+    good = pd.DataFrame({"rid": [1, 2], "xr1_0": [0.1, 0.2]})
+    bad = pd.DataFrame({"rid": [1, 3, 4], "xr2_0": [0.1, 0.2, 0.3]})
+    with pytest.raises(ValueError, match="R2: rid must be the contiguous range"):
+        collect_dimension_tables([to_spark(spark, good), to_spark(spark, bad)])
 
 
 def test_s_input_cols_excludes_r_features():
