@@ -1,11 +1,10 @@
 """Workload definitions for every evaluation artifact (DESIGN.md Section 4).
 
-Each table and figure of the paper is declared once, as data: a list of
-``Config`` (dataset, row scale, model size). The ``*_rows`` functions run the
-M/S/F matrix of the harness over one such list, and the pytest-benchmark
-suites in ``benchmarks/`` parametrize over the same lists. The paper's
-published numbers are kept here (``PAPER_TABLE6`` / ``PAPER_TABLE7``) so
-EXPERIMENTS.md and the jobs can print paper-vs-measured side by side.
+Each table and figure of the paper is declared once, as data: an
+``Artifact`` (title, model, iteration count, the paper's published seconds
+where it has them) over a list of ``Config`` (dataset, row scale, model
+size), collected in ``ARTIFACTS``. ``rows`` runs the harness's M/S/F matrix
+over one artifact; ``jobs/run.py`` is the entry point that prints it.
 
 Scaling: real-dataset simulations run at ``realsim.ROW_SCALE`` row scale with
 exact paper feature dimensions; synthetic sweeps use nR=200 (paper: 1000) and
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.bench.harness import Row, run_matrix
@@ -28,7 +26,7 @@ from repro.data.realsim import DatasetSpec
 TABLE_ITERS = 5  # Table VI GMM iterations / Table VII NN epochs
 SWEEP_ITERS = 3  # figure sweeps
 
-# Paper numbers (seconds) — Table VI and VII verbatim, for EXPERIMENTS.md.
+# Paper numbers (seconds) — Table VI and VII verbatim, printed under the tables.
 PAPER_TABLE6 = {
     "Expedia1(Not Sparse)": {"M-GMM": 2140.1, "S-GMM": 2244.3, "F-GMM": 1014.2},
     "Expedia2(Not Sparse)": {"M-GMM": 1221.1, "S-GMM": 1248.5, "F-GMM": 593.1},
@@ -53,13 +51,6 @@ class Config:
     spec: DatasetSpec
     size: int  # GMM: K components; NN: nh hidden units
     scale: float = 1.0
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    def generate_pdf(self) -> tuple[pd.DataFrame, list[pd.DataFrame]]:
-        return self.spec.generate_pdf(self.scale)
 
 
 # Result tables (VI, VII): K=5 / nh=50 on the simulated real datasets.
@@ -109,39 +100,48 @@ FIG5 = _binary_sweep(41, "nh", 50, (25, 100), target=True)
 FIG6 = _multiway_sweep(51, "nh", 50, (25, 100), target=True)
 
 
-def _rows(spark: SparkSession, model: str, configs: list[Config], iters: int) -> list[Row]:
-    rows: list[Row] = []
-    for cfg in configs:
-        s_pdf, r_pdfs = cfg.generate_pdf()
-        rows += run_matrix(spark, model, cfg.name, s_pdf, r_pdfs, size=cfg.size, iters=iters)
-    return rows
+@dataclass(frozen=True)
+class Artifact:
+    """One table or figure of Section VII: what ``jobs/run.py`` runs and prints."""
+
+    title: str
+    model: str  # "GMM" or "NN"
+    configs: list[Config]
+    iters: int  # EM iterations or NN epochs, the same for M, S and F
+    paper: dict | None = None  # the paper's seconds, printed under the table
 
 
-def table6_rows(spark: SparkSession) -> list[Row]:
-    """Table VI: GMM on the simulated real datasets (K=5)."""
-    return _rows(spark, "GMM", TABLE6, TABLE_ITERS)
+ARTIFACTS = {
+    "table6": Artifact(
+        "Table VI — GMM on (simulated) real datasets [measured]",
+        "GMM", TABLE6, TABLE_ITERS, PAPER_TABLE6,
+    ),
+    "table7": Artifact(
+        "Table VII — NN on (simulated) sparse datasets [measured]",
+        "NN", TABLE7, TABLE_ITERS, PAPER_TABLE7,
+    ),
+    "fig3": Artifact(
+        "Fig. 3 — GMM synthetic sweeps (vary rr / dR / K)", "GMM", FIG3, SWEEP_ITERS
+    ),
+    "fig4": Artifact(
+        "Fig. 4 — GMM multi-way sweeps (vary rr / dR1 / K)", "GMM", FIG4, SWEEP_ITERS
+    ),
+    "fig5": Artifact(
+        "Fig. 5 — NN synthetic sweeps (vary rr / dR / nh)", "NN", FIG5, SWEEP_ITERS
+    ),
+    "fig6": Artifact(
+        "Fig. 6 — NN multi-way sweeps (vary rr / dR1 / nh)", "NN", FIG6, SWEEP_ITERS
+    ),
+}
 
 
-def table7_rows(spark: SparkSession) -> list[Row]:
-    """Table VII: NN on the simulated sparse datasets (nh=50, sigmoid)."""
-    return _rows(spark, "NN", TABLE7, TABLE_ITERS)
-
-
-def fig3_rows(spark: SparkSession) -> list[Row]:
-    """Fig. 3: GMM binary-join sweeps — vary rr, vary dR, vary K."""
-    return _rows(spark, "GMM", FIG3, SWEEP_ITERS)
-
-
-def fig4_rows(spark: SparkSession) -> list[Row]:
-    """Fig. 4: GMM multi-way (q=2) sweeps — vary rr, vary dR1, vary K."""
-    return _rows(spark, "GMM", FIG4, SWEEP_ITERS)
-
-
-def fig5_rows(spark: SparkSession) -> list[Row]:
-    """Fig. 5: NN binary-join sweeps — vary rr, vary dR, vary nh."""
-    return _rows(spark, "NN", FIG5, SWEEP_ITERS)
-
-
-def fig6_rows(spark: SparkSession) -> list[Row]:
-    """Fig. 6: NN multi-way (q=2) sweeps — vary rr, vary dR1, vary nh."""
-    return _rows(spark, "NN", FIG6, SWEEP_ITERS)
+def rows(spark: SparkSession, artifact: Artifact) -> list[Row]:
+    """Run the M/S/F matrix of ``artifact`` over each of its configs, in order."""
+    out: list[Row] = []
+    for cfg in artifact.configs:
+        s_pdf, r_pdfs = cfg.spec.generate_pdf(cfg.scale)
+        out += run_matrix(
+            spark, artifact.model, cfg.spec.name, s_pdf, r_pdfs,
+            size=cfg.size, iters=artifact.iters,
+        )
+    return out

@@ -67,6 +67,19 @@ class StatLayout:
         }
 
 
+def segment_sums(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """``out[r, j] = sum of values[i, j] over the rows i with idx[i] == r``.
+
+    The per-FK group-by-sum of the F kernels: ``idx`` holds 0-based R rows,
+    ``values`` is (rows, cols) and the result is (n, cols), one
+    ``np.bincount`` per column; result rows that no index hits are zero.
+    """
+    out = np.empty((n, values.shape[1]))
+    for j in range(values.shape[1]):
+        out[:, j] = np.bincount(idx, weights=values[:, j], minlength=n)
+    return out
+
+
 _SCHEMA = StructType([StructField("stats", BinaryType(), False)])
 
 

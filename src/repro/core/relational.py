@@ -1,13 +1,14 @@
 """DataFrame-side relational helpers shared by every trainer.
 
 Schema introspection (feature column discovery), the canonical Catalyst
-equi-join producing the denormalized view ``T`` (used by M-* and S-*), and
-collection of the dimension tables into broadcast-ready NumPy matrices
-(used by F-*).
+equi-join producing the denormalized view ``T`` (used by M-* and S-*), and,
+for F-*, collection of the dimension tables into broadcast-ready NumPy
+matrices plus the decoding of fact-table FKs into rows of those matrices.
 """
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.data.normalized import fk_cols, r_feature_cols, s_feature_cols
@@ -70,6 +71,24 @@ def collect_dimension_tables(r_dfs: list[DataFrame]) -> list[np.ndarray]:
             raise ValueError(f"R{t}: rid must be the contiguous range 1..{len(pdf)}")
         out.append(pdf[r_feature_cols(d_r, t)].to_numpy(dtype=np.float64))
     return out
+
+
+def fk_rows(pdf: pd.DataFrame, fk_names: list[str], n_rs: list[int]) -> list[np.ndarray]:
+    """Each FK column of a fact-table batch as 0-based rows of its R matrix.
+
+    The other half of ``collect_dimension_tables``'s convention: ``fk = r``
+    is row ``r - 1``. An FK outside ``1..nR`` has no R tuple; indexing with
+    it would wrap (``fk = 0`` reads the last row) or fail without naming the
+    column, so it raises ``ValueError`` naming the column and the range.
+    """
+    rows = []
+    for name, n_r in zip(fk_names, n_rs):
+        idx = pdf[name].to_numpy(dtype=np.int64) - 1
+        bad = idx[(idx < 0) | (idx >= n_r)]
+        if len(bad):
+            raise ValueError(f"{name}={bad[0] + 1} has no R tuple: FKs must lie in 1..{n_r}")
+        rows.append(idx)
+    return rows
 
 
 def s_input_cols(d_s: int, q: int, extra_cols: list[str] = ()) -> list[str]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.core.aggregate import StatLayout
+from repro.core.aggregate import StatLayout, segment_sums
 from repro.core.em_ref import dense_suffstats
 from repro.core.linalg import (
     MultiwayTerms,
@@ -34,6 +34,7 @@ from repro.core.linalg import (
     precisions_and_logdets,
 )
 from repro.core.params import GMMParams
+from repro.core.relational import fk_rows
 
 
 def gmm_payload(params: GMMParams) -> dict:
@@ -94,21 +95,6 @@ def factorized_layout(k: int, d_s: int, n_rs: list[int], d_rs: list[int]) -> Sta
     return StatLayout(shapes)
 
 
-def _segment_sums(
-    fk_idx: np.ndarray, weights: np.ndarray, values: np.ndarray | None, n_r: int
-) -> np.ndarray:
-    """``out[r, :] = sum_{n: fk=r} weights_n * values_n`` via bincount.
-
-    ``values=None`` means scalar 1s (returns shape (n_r,)).
-    """
-    if values is None:
-        return np.bincount(fk_idx, weights=weights, minlength=n_r)
-    out = np.empty((n_r, values.shape[1]))
-    for j in range(values.shape[1]):
-        out[:, j] = np.bincount(fk_idx, weights=weights * values[:, j], minlength=n_r)
-    return out
-
-
 def make_factorized_batch_fn(
     payload: dict,
     terms: MultiwayTerms,
@@ -130,7 +116,7 @@ def make_factorized_batch_fn(
 
     def batch_fn(pdf: pd.DataFrame) -> np.ndarray:
         xs = pdf[s_cols].to_numpy(dtype=np.float64)
-        fk_idx = [pdf[name].to_numpy(dtype=np.int64) - 1 for name in fk_names]
+        fk_idx = fk_rows(pdf, fk_names, n_rs)
         quad = factorized_quadratic_multiway(
             xs, fk_idx, payload["mu"], payload["prec"], terms
         )
@@ -146,12 +132,12 @@ def make_factorized_batch_fn(
         for i in range(k):
             b[i] = xs.T @ (gamma[:, i : i + 1] * xs)
         stats["b"] = b
-        for t in range(1, q + 1):
-            g = np.empty((k, n_rs[t - 1]))
-            h = np.empty((k, n_rs[t - 1], xs.shape[1]))
+        for t, (idx, n_r) in enumerate(zip(fk_idx, n_rs), start=1):
+            g = np.empty((k, n_r))
+            h = np.empty((k, n_r, xs.shape[1]))
             for i in range(k):
-                g[i] = _segment_sums(fk_idx[t - 1], gamma[:, i], None, n_rs[t - 1])
-                h[i] = _segment_sums(fk_idx[t - 1], gamma[:, i], xs, n_rs[t - 1])
+                g[i] = np.bincount(idx, weights=gamma[:, i], minlength=n_r)
+                h[i] = segment_sums(idx, gamma[:, i : i + 1] * xs, n_r)
             stats[f"g{t}"] = g
             stats[f"h{t}"] = h
         for a in range(1, q + 1):
@@ -159,7 +145,7 @@ def make_factorized_batch_fn(
                 xb = xrs[bt - 1][fk_idx[bt - 1]]  # (B, dRb) gathered once
                 c = np.empty((k, n_rs[a - 1], xb.shape[1]))
                 for i in range(k):
-                    c[i] = _segment_sums(fk_idx[a - 1], gamma[:, i], xb, n_rs[a - 1])
+                    c[i] = segment_sums(fk_idx[a - 1], gamma[:, i : i + 1] * xb, n_rs[a - 1])
                 stats[f"c{a}_{bt}"] = c
         return layout.pack(stats)
 

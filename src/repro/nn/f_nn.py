@@ -19,7 +19,13 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.nn_ref import ACTIVATIONS, apply_gradients
 from repro.core.params import NNParams, TrainResult
-from repro.core.relational import as_list, collect_dimension_tables, infer_dims, s_input_cols
+from repro.core.relational import (
+    as_list,
+    collect_dimension_tables,
+    fk_rows,
+    infer_dims,
+    s_input_cols,
+)
 from repro.data.normalized import fk_cols, s_feature_cols
 from repro.nn.model import (
     factorized_grad_layout,
@@ -69,7 +75,7 @@ def _make_batch_fn(p: NNParams, w1s, t2s, act, s_cols, fks, layout):
     def batch_fn(pdf: pd.DataFrame) -> np.ndarray:
         xs = pdf[s_cols].to_numpy(dtype=np.float64)
         y = pdf["y"].to_numpy(dtype=np.float64)
-        fk_idx = [pdf[name].to_numpy(dtype=np.int64) - 1 for name in fks]
+        fk_idx = fk_rows(pdf, fks, [t2.shape[0] for t2 in t2s])
         return layout.pack(factorized_grad_stats(xs, fk_idx, y, p, w1s, t2s, act))
 
     return batch_fn

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.aggregate import StatLayout
+from repro.core.aggregate import StatLayout, segment_sums
 from repro.core.nn_ref import Activation
 from repro.core.params import NNParams
 
@@ -120,13 +120,8 @@ def factorized_grad_stats(
         "loss": 0.5 * float(err @ err),
         "n": float(len(y)),
     }
-    nh = p.nh
     for t, (t2, idx) in enumerate(zip(t2s, fk_idx), start=1):
-        n_r = t2.shape[0]
-        d_sum = np.empty((n_r, nh))
-        for j in range(nh):
-            d_sum[:, j] = np.bincount(idx, weights=delta[:, j], minlength=n_r)
-        stats[f"d{t}"] = d_sum
+        stats[f"d{t}"] = segment_sums(idx, delta, t2.shape[0])
     return stats
 
 

@@ -7,11 +7,14 @@ a wrong join or a broken aggregation rather than just "it ran".
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.errors import PythonException
 from pyspark.sql import functions as F
 
+from repro.bench.harness import make_init, train
 from repro.core.relational import (
     collect_dimension_tables,
     denormalize,
+    fk_rows,
     infer_dims,
     joined_feature_cols,
     s_input_cols,
@@ -86,11 +89,10 @@ def test_per_fk_gamma_aggregation_catalyst_vs_sql_vs_numpy(spark, binary):
     sql = "SELECT fk_1, SUM(gamma0) AS gsum FROM s GROUP BY fk_1"
     assert_equivalent(agg, sql, s=aug)
     # NumPy path (what the F-GMM batch fn computes)
-    from repro.gmm.suffstats import _segment_sums
+    from repro.core.aggregate import segment_sums
 
-    got = _segment_sums(
-        aug["fk_1"].to_numpy() - 1, aug["gamma0"].to_numpy(), None, len(r_pdf)
-    )
+    (fk,) = fk_rows(aug, ["fk_1"], [len(r_pdf)])
+    got = segment_sums(fk, aug[["gamma0"]].to_numpy(), len(r_pdf))[:, 0]
     exp = (
         aug.groupby("fk_1")["gamma0"].sum().reindex(range(1, len(r_pdf) + 1), fill_value=0.0)
     )
@@ -139,6 +141,21 @@ def test_collect_dimension_tables_rejects_non_contiguous_rid(spark):
     bad = pd.DataFrame({"rid": [1, 3, 4], "xr2_0": [0.1, 0.2, 0.3]})
     with pytest.raises(ValueError, match="R2: rid must be the contiguous range"):
         collect_dimension_tables([to_spark(spark, good), to_spark(spark, bad)])
+
+
+@pytest.mark.parametrize("model", ["GMM", "NN"])
+@pytest.mark.parametrize("fk", [0, 13], ids=["fk=0", "fk=nR+1"])
+def test_f_rejects_fk_without_r_tuple(spark, binary, tmp_path, model, fk):
+    """An FK outside 1..nR fails with an error naming the column and range,
+    instead of wrapping to the last R row or an executor IndexError."""
+    s_pdf, r_pdf, _, r_df = binary
+    s_bad = s_pdf.copy()
+    s_bad.loc[7, "fk_1"] = fk
+    with pytest.raises(PythonException, match=rf"fk_1={fk} has no R tuple: .* 1\.\.12"):
+        train(
+            model, "F", spark, to_spark(spark, s_bad), [r_df],
+            init=make_init(model, 5, 2), iters=1, tmpdir=str(tmp_path),
+        )
 
 
 def test_s_input_cols_excludes_r_features():

@@ -9,13 +9,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.aggregate import StatLayout
+from repro.core.aggregate import StatLayout, segment_sums
 from repro.core.em_ref import dense_suffstats
-from repro.gmm.suffstats import (
-    _segment_sums,
-    assemble_moments,
-    factorized_layout,
-)
+from repro.gmm.suffstats import assemble_moments, factorized_layout
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +87,8 @@ def test_segment_sums_match_pandas_groupby(seed):
     fk = rng.integers(0, n_r, size=n)
     w = rng.random(n)
     v = rng.normal(size=(n, d))
-    got_scalar = _segment_sums(fk, w, None, n_r)
-    got_vec = _segment_sums(fk, w, v, n_r)
+    got_scalar = segment_sums(fk, w[:, None], n_r)[:, 0]
+    got_vec = segment_sums(fk, w[:, None] * v, n_r)
     df = pd.DataFrame({"fk": fk, "w": w})
     exp_scalar = df.groupby("fk")["w"].sum().reindex(range(n_r), fill_value=0.0)
     np.testing.assert_allclose(got_scalar, exp_scalar.to_numpy(), rtol=1e-12)
@@ -103,8 +99,8 @@ def test_segment_sums_match_pandas_groupby(seed):
 
 
 def test_segment_sums_empty_groups_are_zero():
-    out = _segment_sums(np.array([0, 0]), np.array([1.0, 2.0]), None, 5)
-    np.testing.assert_array_equal(out, [3.0, 0, 0, 0, 0])
+    out = segment_sums(np.array([0, 0]), np.array([[1.0], [2.0]]), 5)
+    np.testing.assert_array_equal(out[:, 0], [3.0, 0, 0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +120,8 @@ def _factorized_stats_manual(gamma, xs, fk_idx, xrs):
     stats["b"] = b
     for t in range(1, q + 1):
         n_r = xrs[t - 1].shape[0]
-        g = np.stack([_segment_sums(fk_idx[t - 1], gamma[:, i], None, n_r) for i in range(k)])
-        h = np.stack([_segment_sums(fk_idx[t - 1], gamma[:, i], xs, n_r) for i in range(k)])
+        g = segment_sums(fk_idx[t - 1], gamma, n_r).T
+        h = np.stack([segment_sums(fk_idx[t - 1], gamma[:, [i]] * xs, n_r) for i in range(k)])
         stats[f"g{t}"] = g
         stats[f"h{t}"] = h
     for a in range(1, q + 1):
@@ -133,7 +129,7 @@ def _factorized_stats_manual(gamma, xs, fk_idx, xrs):
             xb = xrs[bt - 1][fk_idx[bt - 1]]
             n_ra = xrs[a - 1].shape[0]
             stats[f"c{a}_{bt}"] = np.stack(
-                [_segment_sums(fk_idx[a - 1], gamma[:, i], xb, n_ra) for i in range(k)]
+                [segment_sums(fk_idx[a - 1], gamma[:, [i]] * xb, n_ra) for i in range(k)]
             )
     return stats
 
