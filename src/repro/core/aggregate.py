@@ -47,9 +47,6 @@ class StatLayout:
             off += size
         self.size = off
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.size)
-
     def pack(self, stats: dict[str, np.ndarray]) -> np.ndarray:
         """Flatten ``stats`` (must cover every declared name) into one vector."""
         out = np.empty(self.size)

@@ -2,12 +2,12 @@
 
 Implements, in vectorized NumPy:
 
-* the dense (unfactorized) Mahalanobis quadratic form used by M-GMM / S-GMM
-  and the reference trainer;
 * the factorization of Eq. 7-12 and its multi-way generalization, Eq. 19-21:
   the quadratic form ``(x - mu)^T I (x - mu)`` split into block terms where
   every term touching only ``x_R`` is precomputed once per R tuple (a binary
-  join is the q=1 case, whose terms are Eq. 9-12's ``UL + UR + LL + LR``);
+  join is the q=1 case, whose terms are Eq. 9-12's ``UL + UR + LL + LR``; at
+  q=0 only the S block is left: M-GMM / S-GMM's form on joined rows);
+* the dense quadratic form, used only by the reference trainer and the tests;
 * responsibility (E-step) computation from quadratic forms, shared verbatim by
   every trainer so that exactness across M/S/F is down to float reassociation.
 
@@ -50,8 +50,8 @@ def precisions_and_logdets(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def dense_quadratic(x: np.ndarray, mu: np.ndarray, prec: np.ndarray) -> np.ndarray:
     """Unfactorized quadratic forms ``q[n, k] = (x_n - mu_k)^T I_k (x_n - mu_k)``.
 
-    This is the per-tuple O(d^2) computation the baselines pay on every joined
-    tuple (paper Section V-B cost analysis).
+    The reference trainer's per-tuple O(d^2) computation (paper Section V-B
+    cost analysis); the Spark trainers get it as the q=0 factorized form.
     """
     n = x.shape[0]
     k = mu.shape[0]
@@ -104,7 +104,6 @@ class MultiwayTerms:
         dims: list[int],
     ) -> None:
         # dims = [dS, dR1, ..., dRq]
-        self.dims = dims
         off = block_offsets(dims)
         k = mu.shape[0]
         q = len(xrs)
@@ -146,17 +145,19 @@ def factorized_quadratic_multiway(
     fk_idx: list[np.ndarray],
     mu: np.ndarray,
     prec: np.ndarray,
-    terms: MultiwayTerms,
+    terms: MultiwayTerms | None,
 ) -> np.ndarray:
     """Eq. 19 for a batch of S tuples: sum of (q+1)^2 small block terms.
 
     ``q[n,k] = PD_S^T I_00 PD_S + sum_i (2 PD_S . w0_i[fk_i] + c_i[fk_i])
                + sum_{i<j} 2 PD_i[fk_i] . u_ij[fk_j]``.
+
+    ``q = len(fk_idx)``; with ``q = 0`` (``xs`` is a whole joined row) only the
+    first term is left and ``terms`` is not read, so it may be ``None``.
     """
-    n = xs.shape[0]
+    n, d_s = xs.shape
     k = mu.shape[0]
-    d_s = terms.dims[0]
-    q = len(terms.pd)
+    q = len(fk_idx)
     quad = np.empty((n, k))
     for i in range(k):
         pd_s = xs - mu[i, :d_s]

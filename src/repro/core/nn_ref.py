@@ -80,8 +80,9 @@ def dense_gradients(
 ) -> tuple[dict[str, np.ndarray], float]:
     """Full-batch gradients over the dense (joined) feature matrix.
 
-    This is what M-NN and S-NN compute per epoch: ``dE/dW1 = delta^T X``
-    touches the entire N x d matrix (Eq. 28 before decomposition).
+    The quantity M-NN and S-NN compute per epoch (with F-NN's kernel at
+    q = 0): ``dE/dW1 = delta^T X`` touches the entire N x d matrix (Eq. 28
+    before decomposition).
     """
     a1, h, o = forward(x, p, act)
     ell = loss(o, y)

@@ -88,7 +88,8 @@ def multiway_relations_pdf(
     plus noise) so the NN has signal that genuinely needs the join.
     """
     q = len(n_rs)
-    assert q == len(d_rs)
+    if q != len(d_rs):
+        raise ValueError(f"n_rs has {q} entries but d_rs has {len(d_rs)}: one (nR, dR) per table")
     g = np.random.default_rng(seed)
     feat = one_hot_features if sparse_r else gaussian_mixture_features
     rs: list[pd.DataFrame] = []

@@ -3,7 +3,8 @@
 The paper's Algorithm 1: compute ``T = S join R1 ... Rq``, store it (here:
 Parquet on local disk, the Spark analogue of "materialize the table in the
 database"), then run EM re-reading the wide table every pass. Pays the join
-once plus ``|T|`` of storage and a wide scan per pass.
+once plus ``|T|`` of storage and a wide scan per pass. The per-tuple math is
+the unfactorized form: F-GMM's kernel with no attribute table (q = 0) on ``T``.
 """
 from __future__ import annotations
 
@@ -15,7 +16,12 @@ from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.em_ref import mstep_from_moments
 from repro.core.params import GMMParams, TrainResult
 from repro.core.relational import as_list, denormalize, infer_dims, joined_feature_cols
-from repro.gmm.suffstats import dense_layout, gmm_payload, make_dense_batch_fn
+from repro.gmm.suffstats import (
+    assemble_moments,
+    factorized_layout,
+    gmm_payload,
+    make_factorized_batch_fn,
+)
 
 
 def train_m_gmm(
@@ -38,19 +44,18 @@ def train_m_gmm(
     denormalize(s_df, r_dfs).write.mode("overwrite").parquet(path)
     t_mat = time.perf_counter() - t0
 
-    layout = dense_layout(init.k, init.d)
+    layout = factorized_layout(init.k, init.d, [], [])
     n_total = None
 
     def step(params):
         nonlocal n_total
         # Re-read the wide materialized table every pass, as Algorithm 1 does.
         t_df = spark.read.parquet(path).select(*feat_cols)
-        batch_fn = make_dense_batch_fn(gmm_payload(params), feat_cols, layout)
+        batch_fn = make_factorized_batch_fn(gmm_payload(params), None, [], feat_cols, [], layout)
         stats = layout.unpack(aggregate_partitions(t_df, batch_fn, layout.size))
+        nk, sx, sxx, ll = assemble_moments(stats, [])
         if n_total is None:
-            n_total = float(stats["nk"].sum())
-        return float(stats["ll"]), mstep_from_moments(
-            stats["nk"], stats["sx"], stats["sxx"], n_total
-        )
+            n_total = float(nk.sum())
+        return ll, mstep_from_moments(nk, sx, sxx, n_total)
 
     return fit(init, step, iters, tol=tol, materialize_s=t_mat)

@@ -3,9 +3,9 @@
 The paper's second baseline: nothing is materialized; each pass re-executes
 the PK/FK join (here: the Catalyst shuffle join, rebuilt from the base
 DataFrames each iteration so Spark cannot reuse a cached plan or shuffle) and
-feeds the wide joined tuples to the *unfactorized* per-tuple math. Same
-computation cost as M-GMM, join cost paid ``iters`` times instead of
-storage + wide re-reads.
+feeds the wide joined tuples to the *unfactorized* per-tuple math: F-GMM's
+kernel with no attribute table (q = 0), as in M-GMM. Same computation cost as
+M-GMM, join cost paid ``iters`` times instead of storage + wide re-reads.
 """
 from __future__ import annotations
 
@@ -15,7 +15,12 @@ from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.em_ref import mstep_from_moments
 from repro.core.params import GMMParams, TrainResult
 from repro.core.relational import as_list, denormalize, infer_dims, joined_feature_cols
-from repro.gmm.suffstats import dense_layout, gmm_payload, make_dense_batch_fn
+from repro.gmm.suffstats import (
+    assemble_moments,
+    factorized_layout,
+    gmm_payload,
+    make_factorized_batch_fn,
+)
 
 
 def train_s_gmm(
@@ -32,19 +37,18 @@ def train_s_gmm(
     d_s, d_rs = infer_dims(s_df, r_dfs)
     feat_cols = joined_feature_cols(d_s, d_rs)
 
-    layout = dense_layout(init.k, init.d)
+    layout = factorized_layout(init.k, init.d, [], [])
     n_total = None
 
     def step(params):
         nonlocal n_total
         # A fresh join plan per pass: the shuffle executes every iteration.
         t_df = denormalize(s_df, r_dfs).select(*feat_cols)
-        batch_fn = make_dense_batch_fn(gmm_payload(params), feat_cols, layout)
+        batch_fn = make_factorized_batch_fn(gmm_payload(params), None, [], feat_cols, [], layout)
         stats = layout.unpack(aggregate_partitions(t_df, batch_fn, layout.size))
+        nk, sx, sxx, ll = assemble_moments(stats, [])
         if n_total is None:
-            n_total = float(stats["nk"].sum())
-        return float(stats["ll"]), mstep_from_moments(
-            stats["nk"], stats["sx"], stats["sxx"], n_total
-        )
+            n_total = float(nk.sum())
+        return ll, mstep_from_moments(nk, sx, sxx, n_total)
 
     return fit(init, step, iters, tol=tol)

@@ -1,10 +1,7 @@
-"""GMM sufficient statistics: dense (M/S) and factorized (F) forms.
+"""GMM sufficient statistics in the factorized form of Section V.
 
-The dense form is the baselines' per-pass computation over joined tuples:
-``(Nk, sum gamma x, sum gamma x x^T)`` at O(N d^2).
-
-The factorized form is the paper's Section V decomposition: the only
-statistics accumulated over the fact table are
+One kernel serves all three trainers. The only statistics accumulated over
+the scanned relation are
 
 * ``nk, ll`` — component masses and the running log-likelihood (Eq. 5-6);
 * ``a = sum gamma x_S``, ``b = sum gamma x_S x_S^T`` — the S-side blocks;
@@ -18,6 +15,11 @@ statistics accumulated over the fact table are
 ``assemble_moments`` then reconstitutes the full-d raw moments with one small
 matmul per block against the dimension tables' feature matrices — each R tuple
 participates exactly once, which is precisely the factorization's saving.
+
+F-GMM scans S with q attribute tables. M-GMM and S-GMM scan the joined ``T``
+as a fact table with no attribute table (q = 0): then ``x_S`` is the whole
+joined row, ``(nk, a, b)`` are the unfactorized ``(Nk, Sx, Sxx)`` at O(N d^2)
+and ``assemble_moments(stats, [])`` only copies them out.
 """
 from __future__ import annotations
 
@@ -25,10 +27,9 @@ import numpy as np
 import pandas as pd
 
 from repro.core.aggregate import StatLayout, segment_sums
-from repro.core.em_ref import dense_suffstats
 from repro.core.linalg import (
     MultiwayTerms,
-    dense_quadratic,
+    block_offsets,
     factorized_quadratic_multiway,
     log_responsibilities,
     precisions_and_logdets,
@@ -47,35 +48,6 @@ def gmm_payload(params: GMMParams) -> dict:
         "logdet": logdet,
         "d": params.d,
     }
-
-
-# ---------------------------------------------------------------------------
-# Dense (M-GMM / S-GMM)
-# ---------------------------------------------------------------------------
-
-
-def dense_layout(k: int, d: int) -> StatLayout:
-    return StatLayout({"nk": (k,), "sx": (k, d), "sxx": (k, d, d), "ll": ()})
-
-
-def make_dense_batch_fn(payload: dict, feat_cols: list[str], layout: StatLayout):
-    """Batch -> flat dense stats, evaluating gamma on the wide joined rows."""
-
-    def batch_fn(pdf: pd.DataFrame) -> np.ndarray:
-        x = pdf[feat_cols].to_numpy(dtype=np.float64)
-        quad = dense_quadratic(x, payload["mu"], payload["prec"])
-        gamma, ll = log_responsibilities(
-            quad, payload["pi"], payload["logdet"], payload["d"]
-        )
-        nk, sx, sxx = dense_suffstats(x, gamma)
-        return layout.pack({"nk": nk, "sx": sx, "sxx": sxx, "ll": ll.sum()})
-
-    return batch_fn
-
-
-# ---------------------------------------------------------------------------
-# Factorized (F-GMM)
-# ---------------------------------------------------------------------------
 
 
 def factorized_layout(k: int, d_s: int, n_rs: list[int], d_rs: list[int]) -> StatLayout:
@@ -97,18 +69,19 @@ def factorized_layout(k: int, d_s: int, n_rs: list[int], d_rs: list[int]) -> Sta
 
 def make_factorized_batch_fn(
     payload: dict,
-    terms: MultiwayTerms,
+    terms: MultiwayTerms | None,
     xrs: list[np.ndarray],
     s_cols: list[str],
     fk_names: list[str],
     layout: StatLayout,
 ):
-    """Batch of *S tuples only* -> flat factorized stats.
+    """Batch of fact tuples -> flat factorized stats.
 
     The E-step uses the factorized quadratic form (per-R-tuple ``terms``
     precomputed once on the driver); the M-step contributions are the small
-    per-FK aggregates described in the module docstring. No wide joined row is
-    ever formed.
+    per-FK aggregates described in the module docstring; F-GMM never forms a
+    wide joined row. With ``xrs = fk_names = []`` the batch is the joined rows
+    themselves and ``terms`` may be ``None`` (M-GMM, S-GMM).
     """
     k = payload["mu"].shape[0]
     q = len(xrs)
@@ -163,17 +136,14 @@ def assemble_moments(
     """
     q = len(xrs)
     k, d_s = stats["a"].shape
-    d_rs = [xr.shape[1] for xr in xrs]
-    d = d_s + sum(d_rs)
-    off = [d_s]
-    for dr in d_rs:
-        off.append(off[-1] + dr)
+    off = block_offsets([d_s] + [xr.shape[1] for xr in xrs])
+    d = off[-1]
     sx = np.zeros((k, d))
     sxx = np.zeros((k, d, d))
     sx[:, :d_s] = stats["a"]
     sxx[:, :d_s, :d_s] = stats["b"]
     for t in range(1, q + 1):
-        lo, hi = off[t - 1], off[t]
+        lo, hi = off[t], off[t + 1]
         xr = xrs[t - 1]
         g = stats[f"g{t}"]  # (K, nRt)
         h = stats[f"h{t}"]  # (K, nRt, dS)
@@ -185,8 +155,8 @@ def assemble_moments(
             sxx[i, lo:hi, lo:hi] = xr.T @ (g[i][:, None] * xr)
     for a in range(1, q + 1):
         for bt in range(a + 1, q + 1):
-            alo, ahi = off[a - 1], off[a]
-            blo, bhi = off[bt - 1], off[bt]
+            alo, ahi = off[a], off[a + 1]
+            blo, bhi = off[bt], off[bt + 1]
             c = stats[f"c{a}_{bt}"]  # (K, nRa, dRb)
             xa = xrs[a - 1]
             for i in range(k):

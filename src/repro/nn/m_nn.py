@@ -2,7 +2,8 @@
 
 Baseline of Section VI: ``T`` (including the target ``y``) is computed and
 written to Parquet once; every epoch re-reads the wide table and computes the
-dense full-batch gradients (Eq. 28 before decomposition).
+full-batch gradients (Eq. 28 before decomposition) with F-NN's kernel over
+``T`` as a fact table with no attribute table (q = 0).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.nn_ref import ACTIVATIONS, apply_gradients
 from repro.core.params import NNParams, TrainResult
 from repro.core.relational import as_list, denormalize, infer_dims, joined_feature_cols
-from repro.nn.model import dense_grad_layout, dense_grad_stats, finalize_dense
+from repro.nn.model import dense_grad_stats, factorized_grad_layout, finalize_factorized
 
 
 def _dense_batch_fn(p: NNParams, act_name: str, feat_cols, layout):
@@ -51,13 +52,13 @@ def train_m_nn(
     denormalize(s_df, r_dfs, extra_cols=["y"]).write.mode("overwrite").parquet(path)
     t_mat = time.perf_counter() - t0
 
-    layout = dense_grad_layout(init.nh, init.d)
+    layout = factorized_grad_layout(init.nh, init.d, [])
 
     def step(p):
         t_df = spark.read.parquet(path).select("y", *feat_cols)
         batch_fn = _dense_batch_fn(p, activation, feat_cols, layout)
         flat = aggregate_partitions(t_df, batch_fn, layout.size)
-        grads, loss = finalize_dense(layout.unpack(flat))
+        grads, loss = finalize_factorized(layout.unpack(flat), [])
         return loss, apply_gradients(p, grads, lr)
 
     return fit(init, step, epochs, materialize_s=t_mat)

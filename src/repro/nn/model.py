@@ -13,27 +13,28 @@ Backward (Section VI-A3): ``dE/dW1 = [PG_S | PG_R1 | ...]`` (Eq. 28-32);
 fact table followed by one small matmul in which each R tuple enters once,
 instead of the dense ``delta^T X`` over the N x d joined matrix.
 
+One kernel serves all three trainers: M-NN and S-NN run it on the joined
+rows with no attribute table (q = 0), where ``W_S`` is all of ``W1`` and the
+statistics are the unfactorized full-batch gradients (``dense_grad_stats``).
+
 Gradients are accumulated *unnormalized* (plain sums over rows) so partition
-partials add exactly; the driver divides by N once (``finalize``), making
-every trainer's update bitwise-comparable to the dense reference.
+partials add exactly; the driver divides by N once (``finalize_factorized``),
+making every trainer's update bitwise-comparable to the dense reference.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.aggregate import StatLayout, segment_sums
+from repro.core.linalg import block_offsets
 from repro.core.nn_ref import Activation
 from repro.core.params import NNParams
 
 
 def split_w1(w1: np.ndarray, d_s: int, d_rs: list[int]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Split input->hidden weights into the S block and per-R-table blocks."""
-    blocks = []
-    off = d_s
-    for d_r in d_rs:
-        blocks.append(w1[:, off : off + d_r])
-        off += d_r
-    return w1[:, :d_s], blocks
+    off = block_offsets([d_s, *d_rs])
+    return w1[:, :d_s], [w1[:, lo:hi] for lo, hi in zip(off[1:], off[2:])]
 
 
 def reuse_terms(p: NNParams, xrs: list[np.ndarray], d_s: int) -> list[np.ndarray]:
@@ -49,31 +50,6 @@ def reuse_terms(p: NNParams, xrs: list[np.ndarray], d_s: int) -> list[np.ndarray
 # ---------------------------------------------------------------------------
 # Gradient statistics (raw sums; finalize divides by N)
 # ---------------------------------------------------------------------------
-
-
-def dense_grad_layout(nh: int, d: int) -> StatLayout:
-    return StatLayout(
-        {"w1": (nh, d), "b1": (nh,), "w2": (nh,), "b2": (), "loss": (), "n": ()}
-    )
-
-
-def dense_grad_stats(
-    x: np.ndarray, y: np.ndarray, p: NNParams, act: Activation
-) -> dict[str, np.ndarray]:
-    """Unnormalized full gradients over wide joined rows (M-NN / S-NN)."""
-    a1 = x @ p.w1.T + p.b1
-    h = act.f(a1)
-    o = h @ p.w2 + p.b2
-    err = o - y
-    delta = np.outer(err, p.w2) * act.df(a1)  # (B, nh)
-    return {
-        "w1": delta.T @ x,
-        "b1": delta.sum(axis=0),
-        "w2": h.T @ err,
-        "b2": err.sum(),
-        "loss": 0.5 * float(err @ err),
-        "n": float(len(y)),
-    }
 
 
 def factorized_grad_layout(nh: int, d_s: int, n_rs: list[int]) -> StatLayout:
@@ -103,7 +79,8 @@ def factorized_grad_stats(
 
     Forward uses the factorized layer-1 pre-activation (T2 lookups); backward
     emits ``w1s`` directly and, for each attribute table, only the per-FK
-    delta sums ``d_t`` — the driver finishes ``PG_Rt = d_t^T x_Rt``.
+    delta sums ``d_t`` — the driver finishes ``PG_Rt = d_t^T x_Rt``. With no
+    attribute table (``fk_idx = t2s = []``) these are the full gradients.
     """
     a1 = xs @ w1s.T + p.b1
     for t2, idx in zip(t2s, fk_idx):
@@ -125,16 +102,11 @@ def factorized_grad_stats(
     return stats
 
 
-def finalize_dense(stats: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray], float]:
-    """(grads, loss) from reduced dense raw sums."""
-    n = float(stats["n"])
-    grads = {
-        "w1": stats["w1"] / n,
-        "b1": stats["b1"] / n,
-        "w2": stats["w2"] / n,
-        "b2": float(stats["b2"]) / n,
-    }
-    return grads, float(stats["loss"]) / n
+def dense_grad_stats(
+    x: np.ndarray, y: np.ndarray, p: NNParams, act: Activation
+) -> dict[str, np.ndarray]:
+    """Unnormalized full gradients over joined rows (M-NN, S-NN): q = 0."""
+    return factorized_grad_stats(x, [], y, p, p.w1, [], act)
 
 
 def finalize_factorized(

@@ -120,6 +120,10 @@ def _assert_factorized_equals_dense(d_s, d_rs, k):
     xrs = [rng.normal(size=(rng.integers(3, 9), dr)) for dr in d_rs]
     fk_idx = [rng.integers(0, xr.shape[0], size=n) for xr in xrs]
     x = np.concatenate([xs] + [xr[idx] for xr, idx in zip(xrs, fk_idx)], axis=1)
+    if not d_rs:  # q = 0 is M/S's form on joined rows: the dense one, bit for bit
+        quad_f = factorized_quadratic_multiway(xs, [], mu, prec, None)
+        np.testing.assert_array_equal(quad_f, dense_quadratic(x, mu, prec))
+        return
     terms = MultiwayTerms(xrs, mu, prec, [d_s, *d_rs])
     quad_f = factorized_quadratic_multiway(xs, fk_idx, mu, prec, terms)
     np.testing.assert_allclose(quad_f, dense_quadratic(x, mu, prec), rtol=1e-9, atol=1e-9)
@@ -133,7 +137,7 @@ def test_factorized_binary_equals_dense(d_s, d_r, k):
 
 
 @pytest.mark.parametrize(
-    "d_s,d_rs", [(2, [3]), (2, [3, 4]), (3, [2, 2, 5]), (1, [1, 1]), (4, [6, 3, 2, 5])]
+    "d_s,d_rs", [(2, [3]), (2, [3, 4]), (3, [2, 2, 5]), (1, [1, 1]), (4, [6, 3, 2, 5]), (5, [])]
 )
 @pytest.mark.parametrize("k", [1, 3])
 def test_factorized_multiway_equals_dense(d_s, d_rs, k):

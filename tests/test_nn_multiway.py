@@ -1,11 +1,16 @@
-"""Multi-way (q >= 2) NN exactness: Section VI-B's generalization."""
+"""Multi-way (q >= 2) NN exactness: Section VI-B's generalization.
+
+The Spark-free kernel test covers q = 0 too, the form M-NN and S-NN run on
+joined rows.
+"""
 import numpy as np
 import pytest
 
-from repro.core.nn_ref import nn_fit
+from repro.core.nn_ref import ACTIVATIONS, dense_gradients, nn_fit
 from repro.core.params import init_nn
 from repro.data.normalized import densify_pdf, multiway_relations_pdf, to_spark
 from repro.nn import train_f_nn, train_m_nn, train_s_nn
+from repro.nn.model import factorized_grad_stats, finalize_factorized, reuse_terms, split_w1
 
 CONFIGS = {
     "q2": dict(n_s=1200, n_rs=[15, 10], d_s=2, d_rs=[3, 2], nh=5, epochs=3, seed=0),
@@ -52,3 +57,23 @@ def test_history_matches_reference(trained, algo):
     _, ref, results = trained
     np.testing.assert_allclose(results[algo].history, ref.history, rtol=1e-10)
 
+
+@pytest.mark.parametrize("act_name", ["sigmoid", "tanh", "relu"])
+@pytest.mark.parametrize("d_rs", [[], [3], [2, 4]], ids=["q0", "q1", "q2"])
+def test_factorized_kernel_equals_dense_gradients(d_rs, act_name):
+    rng = np.random.default_rng(len(d_rs))
+    n, d_s, nh = 60, 3, 5
+    xs = rng.normal(size=(n, d_s))
+    xrs = [rng.normal(size=(7, d_r)) for d_r in d_rs]
+    fk_idx = [rng.integers(0, 7, size=n) for _ in d_rs]
+    y = rng.normal(size=n)
+    x = np.concatenate([xs] + [xr[idx] for xr, idx in zip(xrs, fk_idx)], axis=1)
+    p = init_nn(x.shape[1], nh, len(d_rs))
+    act = ACTIVATIONS[act_name]
+    w1s, _ = split_w1(p.w1, d_s, d_rs)
+    stats = factorized_grad_stats(xs, fk_idx, y, p, w1s, reuse_terms(p, xrs, d_s), act)
+    grads, ell = finalize_factorized(stats, xrs)
+    ref, ref_ell = dense_gradients(x, y, p, act)
+    assert ell == pytest.approx(ref_ell, rel=1e-10)
+    for name in ("w1", "b1", "w2", "b2"):
+        np.testing.assert_allclose(grads[name], ref[name], rtol=1e-10, err_msg=name)

@@ -47,6 +47,11 @@ def test_multiway_schema():
         assert s[f"fk_{t}"].between(1, n_r).all()
 
 
+def test_multiway_rejects_mismatched_table_lists():
+    with pytest.raises(ValueError, match="n_rs has 2 entries but d_rs has 1"):
+        multiway_relations_pdf(n_s=10, n_rs=[4, 5], d_s=1, d_rs=[2], seed=0)
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_determinism(seed):
     a_s, a_r = binary_relations_pdf(n_s=60, n_r=6, d_s=2, d_r=2, seed=seed)

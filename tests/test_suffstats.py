@@ -3,7 +3,7 @@
 The assembly test is the M-step half of the paper's exactness claim: the
 factorized per-FK aggregates reconstituted by ``assemble_moments`` must equal
 the dense ``sum gamma x x^T`` over the joined matrix, for binary and
-multi-way joins.
+multi-way joins, and for no attribute table at all (q = 0, M/S's form).
 """
 import numpy as np
 import pandas as pd
@@ -53,13 +53,9 @@ def test_layout_pack_shape_mismatch_raises():
         layout.pack({"a": np.zeros(3)})
 
 
-def test_layout_zeros():
-    layout = StatLayout({"a": (4,), "b": (2, 3)})
-    assert layout.zeros().sum() == 0.0
-    assert layout.size == 10
-
-
-@pytest.mark.parametrize("q,n_rs,d_rs", [(1, [5], [3]), (2, [4, 6], [2, 3]), (3, [2, 3, 4], [1, 2, 3])])
+@pytest.mark.parametrize(
+    "q,n_rs,d_rs", [(1, [5], [3]), (2, [4, 6], [2, 3]), (3, [2, 3, 4], [1, 2, 3]), (0, [], [])]
+)
 def test_factorized_layout_keys(q, n_rs, d_rs):
     layout = factorized_layout(2, 3, n_rs, d_rs)
     keys = set(layout.shapes)
@@ -136,7 +132,7 @@ def _factorized_stats_manual(gamma, xs, fk_idx, xrs):
 
 @pytest.mark.parametrize(
     "d_s,d_rs,n_rs",
-    [(2, [3], [5]), (3, [2, 4], [4, 6]), (1, [1, 1, 2], [3, 2, 4]), (5, [15], [8])],
+    [(2, [3], [5]), (3, [2, 4], [4, 6]), (1, [1, 1, 2], [3, 2, 4]), (5, [15], [8]), (4, [], [])],
 )
 @pytest.mark.parametrize("k", [1, 3])
 def test_assemble_moments_equals_dense(d_s, d_rs, n_rs, k):
@@ -155,6 +151,9 @@ def test_assemble_moments_equals_dense(d_s, d_rs, n_rs, k):
     np.testing.assert_allclose(nk_f, nk_d, rtol=1e-10)
     np.testing.assert_allclose(sx_f, sx_d, rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(sxx_f, sxx_d, rtol=1e-8, atol=1e-8)
+    if not d_rs:  # q = 0 is M/S's form on joined rows: the dense moments, bit for bit
+        np.testing.assert_array_equal(sx_f, sx_d)
+        np.testing.assert_array_equal(sxx_f, sxx_d)
 
 
 def test_assemble_moments_symmetric_blocks():
