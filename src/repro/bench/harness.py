@@ -18,7 +18,6 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.params import TrainResult, init_gmm, init_nn
-from repro.data.normalized import to_spark
 from repro.gmm import train_f_gmm, train_m_gmm, train_s_gmm
 from repro.nn import train_f_nn, train_m_nn, train_s_nn
 
@@ -56,11 +55,11 @@ class Row:
 
 def prepare_relations(spark: SparkSession, s_pdf: pd.DataFrame, r_pdfs: list[pd.DataFrame]):
     n_parts = max(2, spark.sparkContext.defaultParallelism)
-    s_df = to_spark(spark, s_pdf).repartition(n_parts).cache()
+    s_df = spark.createDataFrame(s_pdf).repartition(n_parts).cache()
     s_df.count()
     r_dfs = []
     for r in r_pdfs:
-        rd = to_spark(spark, r).cache()
+        rd = spark.createDataFrame(r).cache()
         rd.count()
         r_dfs.append(rd)
     return s_df, r_dfs

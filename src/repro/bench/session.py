@@ -1,9 +1,10 @@
-"""SparkSession factory for spark-submit jobs.
+"""SparkSession factory shared by the jobs and the pytest ``spark`` fixture.
 
-Mirrors the pytest fixture in ``conftest.py`` (shuffle partitions, Arrow,
-broadcast joins disabled) so job runs and test runs exercise identical plans.
-Under spark-submit the master/driver memory come from the submit command; run
-standalone, the builder falls back to ``local[*]``.
+One recipe (shuffle partitions, Arrow, broadcast joins disabled), so job runs
+and test runs exercise identical plans. Broadcast joins are off so that joins
+take the shuffle path even at small scale; a query that wants one sets the
+threshold back. Under spark-submit the master and JVM memory come from the
+submit command; run standalone, the session falls back to ``local[*]``.
 """
 from __future__ import annotations
 

@@ -52,7 +52,10 @@ class StatLayout:
         out = np.empty(self.size)
         for name, shape in self.shapes.items():
             arr = np.asarray(stats[name], dtype=np.float64)
-            assert arr.shape == tuple(shape), (name, arr.shape, shape)
+            if arr.shape != tuple(shape):
+                raise ValueError(
+                    f"stat {name!r} has shape {arr.shape}, layout declares {tuple(shape)}"
+                )
             out[self.slices[name]] = arr.ravel()
         return out
 

@@ -78,7 +78,6 @@ def em_fit(
     init: GMMParams,
     iters: int = 10,
     tol: float | None = None,
-    reg_covar: float = 1e-6,
 ) -> TrainResult:
     """Run EM for ``iters`` iterations (or until the loglik delta < ``tol``).
 
@@ -88,7 +87,7 @@ def em_fit(
     params = init.copy()
     history: list[float] = []
     for _ in range(iters):
-        params, ll = em_iterate(x, params, reg_covar)
+        params, ll = em_iterate(x, params)
         if tol is not None and history and abs(ll - history[-1]) < tol:
             history.append(ll)
             break

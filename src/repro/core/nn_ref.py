@@ -8,7 +8,9 @@ mini-batch and SGD; SGD merely permutes R's keys per epoch).
 
 Also hosts the activation-function zoo and the additivity predicate used by the
 Section VI-A2 analysis tests (only solutions of the Cauchy equation
-``f(x + y) = f(x) + f(y)`` admit exact factorization beyond layer 1).
+``f(x + y) = f(x) + f(y)`` admit exact factorization beyond layer 1). Each
+derivative is written in the forward output ``h = f(a)`` (sigmoid ``h(1-h)``,
+tanh ``1-h^2``, ReLU ``h>0``), so backprop evaluates the nonlinearity once.
 """
 from __future__ import annotations
 
@@ -21,43 +23,37 @@ from repro.core.params import NNParams, TrainResult
 
 @dataclass(frozen=True)
 class Activation:
-    """An activation function, its derivative, and whether it is additive."""
+    """An activation ``h = f(a)``, its derivative ``f'(a)`` written as a
+    function of ``h``, and whether it is additive."""
 
     name: str
     f: callable
-    df: callable  # derivative as a function of the pre-activation a
+    df: callable  # derivative as a function of the forward output h = f(a)
     additive: bool
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    e = np.exp(a[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # Branch-free and stable: tanh saturates where exp would over- or underflow.
+    return 0.5 * (1.0 + np.tanh(0.5 * a))
 
 
 ACTIVATIONS: dict[str, Activation] = {
-    "sigmoid": Activation(
-        "sigmoid", _sigmoid, lambda a: _sigmoid(a) * (1.0 - _sigmoid(a)), additive=False
-    ),
-    "tanh": Activation("tanh", np.tanh, lambda a: 1.0 - np.tanh(a) ** 2, additive=False),
+    "sigmoid": Activation("sigmoid", _sigmoid, lambda h: h * (1.0 - h), additive=False),
+    "tanh": Activation("tanh", np.tanh, lambda h: 1.0 - h**2, additive=False),
     "relu": Activation(
         # ReLU is only *piecewise* additive (additive when both summands share
         # a sign, Section VI-A2) — not additive in general.
-        "relu", lambda a: np.maximum(a, 0.0), lambda a: (a > 0).astype(a.dtype), additive=False
+        "relu", lambda a: np.maximum(a, 0.0), lambda h: (h > 0).astype(h.dtype), additive=False
     ),
-    "identity": Activation("identity", lambda a: a, lambda a: np.ones_like(a), additive=True),
+    "identity": Activation("identity", lambda a: a, lambda h: np.ones_like(h), additive=True),
 }
 
 
-def forward(x: np.ndarray, p: NNParams, act: Activation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense forward pass. Returns (a1 (N, nh), h (N, nh), o (N,))."""
-    a1 = x @ p.w1.T + p.b1
-    h = act.f(a1)
+def forward(x: np.ndarray, p: NNParams, act: Activation) -> tuple[np.ndarray, np.ndarray]:
+    """Dense forward pass. Returns (h (N, nh), o (N,))."""
+    h = act.f(x @ p.w1.T + p.b1)
     o = h @ p.w2 + p.b2
-    return a1, h, o
+    return h, o
 
 
 def loss(o: np.ndarray, y: np.ndarray) -> float:
@@ -70,9 +66,9 @@ def output_delta(o: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (o - y) / o.shape[0]
 
 
-def hidden_delta(dout: np.ndarray, a1: np.ndarray, p: NNParams, act: Activation) -> np.ndarray:
-    """Backprop through the output layer: dE/da1 (N, nh)."""
-    return np.outer(dout, p.w2) * act.df(a1)
+def hidden_delta(dout: np.ndarray, h: np.ndarray, p: NNParams, act: Activation) -> np.ndarray:
+    """Backprop through the output layer: dE/da1 (N, nh), from ``h = f(a1)``."""
+    return np.outer(dout, p.w2) * act.df(h)
 
 
 def dense_gradients(
@@ -84,10 +80,10 @@ def dense_gradients(
     q = 0): ``dE/dW1 = delta^T X`` touches the entire N x d matrix (Eq. 28
     before decomposition).
     """
-    a1, h, o = forward(x, p, act)
+    h, o = forward(x, p, act)
     ell = loss(o, y)
     dout = output_delta(o, y)
-    delta = hidden_delta(dout, a1, p, act)
+    delta = hidden_delta(dout, h, p, act)
     grads = {
         "w1": delta.T @ x,
         "b1": delta.sum(axis=0),

@@ -35,7 +35,7 @@ class GMMParams:
         return GMMParams(self.pi.copy(), self.mu.copy(), self.sigma.copy())
 
 
-def init_gmm(d: int, k: int, seed: int = 0, scale: float = 1.0) -> GMMParams:
+def init_gmm(d: int, k: int, seed: int = 0) -> GMMParams:
     """Deterministic GMM init: standard-normal means, identity covariances.
 
     Suitable for the standardized feature distributions produced by
@@ -46,7 +46,7 @@ def init_gmm(d: int, k: int, seed: int = 0, scale: float = 1.0) -> GMMParams:
     g = np.random.default_rng(seed)
     return GMMParams(
         pi=np.full(k, 1.0 / k),
-        mu=g.normal(0.0, scale, size=(k, d)),
+        mu=g.normal(0.0, 1.0, size=(k, d)),
         sigma=np.tile(np.eye(d), (k, 1, 1)),
     )
 

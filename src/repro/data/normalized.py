@@ -15,14 +15,13 @@ Conventions relied on throughout the repo:
   ``repro.core.linalg``.
 
 Generators are deterministic in ``seed`` and produce pandas frames
-(``*_pdf``; ``to_spark`` converts one), so the DuckDB oracle and the NumPy
-reference trainers see byte-identical data.
+(``*_pdf``; ``spark.createDataFrame`` converts one), so the DuckDB oracle and
+the NumPy reference trainers see byte-identical data.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 def s_feature_cols(d_s: int) -> list[str]:
@@ -37,30 +36,26 @@ def fk_cols(q: int) -> list[str]:
     return [f"fk_{i}" for i in range(1, q + 1)]
 
 
-def gaussian_mixture_features(
-    n: int, d: int, seed: int, k_true: int = 5, noise: float = 0.1
-) -> np.ndarray:
-    """n x d features from a k_true-component Gaussian mixture + noise."""
+def gaussian_mixture_features(n: int, d: int, seed: int, k_true: int = 5) -> np.ndarray:
+    """n x d features from a k_true-component Gaussian mixture + N(0, 0.1^2) noise."""
     g = np.random.default_rng(seed)
     centers = g.normal(0.0, 2.0, size=(k_true, d))
     labels = g.integers(0, k_true, size=n)
-    return centers[labels] + g.normal(0.0, 1.0, size=(n, d)) + g.normal(
-        0.0, noise, size=(n, d)
-    )
+    return centers[labels] + g.normal(0.0, 1.0, size=(n, d)) + g.normal(0.0, 0.1, size=(n, d))
 
 
-def one_hot_features(n: int, width: int, seed: int, cat_width: int = 10) -> np.ndarray:
+def one_hot_features(n: int, width: int, seed: int) -> np.ndarray:
     """n x width sparse 0/1 features: consecutive one-hot categorical blocks.
 
     Used for the "(Sparse)" dataset variants of Table IV, where the real
-    datasets were one-hot encoded. Blocks are ``cat_width`` wide (the last one
-    absorbs the remainder); exactly one 1 per block per row.
+    datasets were one-hot encoded. Blocks are 10 wide (the last one absorbs
+    the remainder); exactly one 1 per block per row.
     """
     g = np.random.default_rng(seed)
     out = np.zeros((n, width))
     start = 0
     while start < width:
-        w = min(cat_width, width - start)
+        w = min(10, width - start)
         if width - (start + w) == 1:  # avoid a degenerate width-1 last block
             w += 1
         choice = g.integers(0, w, size=n)
@@ -140,10 +135,6 @@ def binary_relations_pdf(
         sparse_r=sparse_r,
     )
     return s, rs[0]
-
-
-def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    return spark.createDataFrame(pdf)
 
 
 def densify_pdf(

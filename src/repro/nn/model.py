@@ -11,7 +11,9 @@ requires an *additive* activation and costs more ops than it saves even then
 Backward (Section VI-A3): ``dE/dW1 = [PG_S | PG_R1 | ...]`` (Eq. 28-32);
 ``PG_Rt = (per-FK sums of delta)^T x_Rt`` — an nR x nh reduction over the
 fact table followed by one small matmul in which each R tuple enters once,
-instead of the dense ``delta^T X`` over the N x d joined matrix.
+instead of the dense ``delta^T X`` over the N x d joined matrix. The hidden
+delta ``(o - y) w2 * f'(a)`` takes ``f'`` from the forward output ``h = f(a)``
+(``Activation.df``), so each batch evaluates the nonlinearity once.
 
 One kernel serves all three trainers: M-NN and S-NN run it on the joined
 rows with no attribute table (q = 0), where ``W_S`` is all of ``W1`` and the
@@ -88,7 +90,7 @@ def factorized_grad_stats(
     h = act.f(a1)
     o = h @ p.w2 + p.b2
     err = o - y
-    delta = np.outer(err, p.w2) * act.df(a1)
+    delta = np.outer(err, p.w2) * act.df(h)
     stats = {
         "w1s": delta.T @ xs,
         "b1": delta.sum(axis=0),

@@ -29,6 +29,30 @@ def test_additive_flag_matches_empirical_check(name):
     assert empirical == act.additive
 
 
+@pytest.mark.parametrize("name", ["sigmoid", "tanh", "relu", "identity"])
+def test_df_of_forward_output_is_the_derivative(name):
+    """``df`` takes ``h = f(a)``: ``df(f(a))`` is f'(a) (off ReLU's kink)."""
+    act = ACTIVATIONS[name]
+    a = np.linspace(-6.0, 6.0, 200)  # even count: 0 is not a sample
+    eps = 1e-6
+    numeric = (act.f(a + eps) - act.f(a - eps)) / (2 * eps)
+    np.testing.assert_allclose(act.df(act.f(a)), numeric, rtol=1e-7, atol=1e-9)
+
+
+def test_sigmoid_matches_long_double_reference():
+    a = np.linspace(-50.0, 50.0, 100_001)
+    exact = 1.0 / (1.0 + np.exp(-a.astype(np.longdouble)))
+    err = np.abs(ACTIVATIONS["sigmoid"].f(a) - exact)
+    assert float(err.max()) <= 2e-16
+
+
+def test_sigmoid_saturates_without_floating_point_errors():
+    a = np.array([-1e3, -40.0, 0.0, 40.0, 1e3])
+    with np.errstate(all="raise"):
+        h = ACTIVATIONS["sigmoid"].f(a)
+    assert h[0] == 0.0 and h[2] == 0.5 and h[-1] == 1.0
+
+
 def test_relu_additive_for_same_sign_only():
     """The paper's observation: ReLU(x+y)=ReLU(x)+ReLU(y) iff x,y same sign."""
     relu = ACTIVATIONS["relu"].f

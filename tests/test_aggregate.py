@@ -6,13 +6,12 @@ import pytest
 
 from repro.core.aggregate import StatLayout, aggregate_partitions, fit
 from repro.core.params import NNParams, init_nn
-from repro.data.normalized import to_spark
 
 
 @pytest.fixture(scope="module")
 def df(spark):
     pdf = pd.DataFrame({"a": np.arange(1000, dtype=np.float64), "b": np.ones(1000)})
-    return to_spark(spark, pdf).repartition(8).cache()
+    return spark.createDataFrame(pdf).repartition(8).cache()
 
 
 def test_sum_across_partitions(spark, df):
@@ -60,7 +59,7 @@ def test_partitioning_invariance(spark):
 
     outs = []
     for nparts in (1, 3, 16):
-        d = to_spark(spark, pdf).repartition(nparts)
+        d = spark.createDataFrame(pdf).repartition(nparts)
         outs.append(aggregate_partitions(d, batch_fn, layout.size))
     np.testing.assert_allclose(outs[0], outs[1], rtol=1e-9)
     np.testing.assert_allclose(outs[0], outs[2], rtol=1e-9)

@@ -3,14 +3,14 @@ import numpy as np
 import pytest
 
 from repro.core.params import init_gmm
-from repro.data.normalized import binary_relations_pdf, to_spark
+from repro.data.normalized import binary_relations_pdf
 from repro.gmm import train_f_gmm, train_m_gmm, train_s_gmm
 
 
 @pytest.fixture(scope="module")
 def relations(spark):
     s_pdf, r_pdf = binary_relations_pdf(n_s=800, n_r=10, d_s=2, d_r=2, seed=7)
-    return to_spark(spark, s_pdf), to_spark(spark, r_pdf)
+    return spark.createDataFrame(s_pdf), spark.createDataFrame(r_pdf)
 
 
 def test_f_gmm_tol_stops_early(relations, spark):

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.em_ref import em_fit
 from repro.core.params import init_gmm
-from repro.data.normalized import binary_relations_pdf, densify_pdf, to_spark
+from repro.data.normalized import binary_relations_pdf, densify_pdf
 from repro.gmm import train_f_gmm, train_m_gmm, train_s_gmm
 
 CONFIGS = {
@@ -30,7 +30,7 @@ def trained(request, spark, tmp_path_factory):
     x, _ = densify_pdf(s_pdf, r_pdf)
     init = init_gmm(cfg["d_s"] + cfg["d_r"], cfg["k"], cfg["seed"] + 10)
     ref = em_fit(x, init, iters=cfg["iters"])
-    s_df, r_df = to_spark(spark, s_pdf), to_spark(spark, r_pdf)
+    s_df, r_df = spark.createDataFrame(s_pdf), spark.createDataFrame(r_pdf)
     tmpdir = str(tmp_path_factory.mktemp(f"mgmm_{request.param}"))
     results = {
         "M": train_m_gmm(spark, s_df, r_df, init=init, iters=cfg["iters"], tmpdir=tmpdir),

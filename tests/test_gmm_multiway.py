@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.em_ref import em_fit
 from repro.core.params import init_gmm
-from repro.data.normalized import densify_pdf, multiway_relations_pdf, to_spark
+from repro.data.normalized import densify_pdf, multiway_relations_pdf
 from repro.gmm import train_f_gmm, train_m_gmm, train_s_gmm
 
 CONFIGS = {
@@ -23,8 +23,8 @@ def trained(request, spark, tmp_path_factory):
     d = cfg["d_s"] + sum(cfg["d_rs"])
     init = init_gmm(d, cfg["k"], cfg["seed"] + 20)
     ref = em_fit(x, init, iters=cfg["iters"])
-    s_df = to_spark(spark, s_pdf)
-    r_dfs = [to_spark(spark, r) for r in r_pdfs]
+    s_df = spark.createDataFrame(s_pdf)
+    r_dfs = [spark.createDataFrame(r) for r in r_pdfs]
     tmpdir = str(tmp_path_factory.mktemp(f"mw_{request.param}"))
     results = {
         "M": train_m_gmm(spark, s_df, r_dfs, init=init, iters=cfg["iters"], tmpdir=tmpdir),

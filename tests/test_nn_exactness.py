@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.nn_ref import nn_fit
 from repro.core.params import init_nn
-from repro.data.normalized import binary_relations_pdf, densify_pdf, to_spark
+from repro.data.normalized import binary_relations_pdf, densify_pdf
 from repro.nn import train_f_nn, train_m_nn, train_s_nn
 
 CONFIGS = {
@@ -38,7 +38,7 @@ def trained(request, spark, tmp_path_factory):
     init = init_nn(cfg["d_s"] + cfg["d_r"], cfg["nh"], cfg["seed"] + 30)
     kw = dict(epochs=cfg["epochs"], lr=cfg["lr"], activation=cfg["act"])
     ref = nn_fit(x, y, init, **kw)
-    s_df, r_df = to_spark(spark, s_pdf), to_spark(spark, r_pdf)
+    s_df, r_df = spark.createDataFrame(s_pdf), spark.createDataFrame(r_pdf)
     tmpdir = str(tmp_path_factory.mktemp(f"mnn_{request.param}"))
     results = {
         "M": train_m_nn(spark, s_df, r_df, init=init, tmpdir=tmpdir, **kw),

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.nn_ref import ACTIVATIONS, dense_gradients, nn_fit
 from repro.core.params import init_nn
-from repro.data.normalized import densify_pdf, multiway_relations_pdf, to_spark
+from repro.data.normalized import densify_pdf, multiway_relations_pdf
 from repro.nn import train_f_nn, train_m_nn, train_s_nn
 from repro.nn.model import factorized_grad_stats, finalize_factorized, reuse_terms, split_w1
 
@@ -34,8 +34,8 @@ def trained(request, spark, tmp_path_factory):
     init = init_nn(d, cfg["nh"], cfg["seed"] + 40)
     kw = dict(epochs=cfg["epochs"], lr=0.1, activation="sigmoid")
     ref = nn_fit(x, y, init, **kw)
-    s_df = to_spark(spark, s_pdf)
-    r_dfs = [to_spark(spark, r) for r in r_pdfs]
+    s_df = spark.createDataFrame(s_pdf)
+    r_dfs = [spark.createDataFrame(r) for r in r_pdfs]
     tmpdir = str(tmp_path_factory.mktemp(f"mwnn_{request.param}"))
     results = {
         "M": train_m_nn(spark, s_df, r_dfs, init=init, tmpdir=tmpdir, **kw),

@@ -51,8 +51,8 @@ def test_gradients_match_numerical(act_name, seed):
         vp, vm = v0.copy(), v0.copy()
         vp[i] += eps
         vm[i] -= eps
-        _, _, op = forward(x, _unflatten(vp, p.nh, p.d), act)
-        _, _, om = forward(x, _unflatten(vm, p.nh, p.d), act)
+        _, op = forward(x, _unflatten(vp, p.nh, p.d), act)
+        _, om = forward(x, _unflatten(vm, p.nh, p.d), act)
         num[i] = (loss(op, y) - loss(om, y)) / (2 * eps)
     np.testing.assert_allclose(flat_g, num, rtol=1e-5, atol=1e-7)
 
@@ -66,8 +66,8 @@ def test_gradients_match_numerical_relu():
     grads, _ = dense_gradients(x, y, p, act)
     eps = 1e-6
     g_b2_num = (
-        loss(forward(x, NNParams(p.w1, p.b1, p.w2, p.b2 + eps), act)[2], y)
-        - loss(forward(x, NNParams(p.w1, p.b1, p.w2, p.b2 - eps), act)[2], y)
+        loss(forward(x, NNParams(p.w1, p.b1, p.w2, p.b2 + eps), act)[1], y)
+        - loss(forward(x, NNParams(p.w1, p.b1, p.w2, p.b2 - eps), act)[1], y)
     ) / (2 * eps)
     np.testing.assert_allclose(grads["b2"], g_b2_num, rtol=1e-5)
 

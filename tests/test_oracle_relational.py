@@ -19,18 +19,14 @@ from repro.core.relational import (
     joined_feature_cols,
     s_input_cols,
 )
-from repro.data.normalized import (
-    binary_relations_pdf,
-    multiway_relations_pdf,
-    to_spark,
-)
+from repro.data.normalized import binary_relations_pdf, multiway_relations_pdf
 from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
 def binary(spark):
     s_pdf, r_pdf = binary_relations_pdf(n_s=500, n_r=12, d_s=2, d_r=3, seed=0, target=True)
-    return s_pdf, r_pdf, to_spark(spark, s_pdf), to_spark(spark, r_pdf)
+    return s_pdf, r_pdf, spark.createDataFrame(s_pdf), spark.createDataFrame(r_pdf)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +34,7 @@ def threeway(spark):
     s_pdf, r_pdfs = multiway_relations_pdf(
         n_s=400, n_rs=[8, 5], d_s=1, d_rs=[2, 2], seed=1
     )
-    return s_pdf, r_pdfs, to_spark(spark, s_pdf), [to_spark(spark, r) for r in r_pdfs]
+    return s_pdf, r_pdfs, spark.createDataFrame(s_pdf), [spark.createDataFrame(r) for r in r_pdfs]
 
 
 def test_denormalize_binary_matches_sql_join(binary):
@@ -84,7 +80,7 @@ def test_per_fk_gamma_aggregation_catalyst_vs_sql_vs_numpy(spark, binary):
     rng = np.random.default_rng(5)
     aug = s_pdf.copy()
     aug["gamma0"] = rng.random(len(aug))
-    aug_df = to_spark(spark, aug)
+    aug_df = spark.createDataFrame(aug)
     agg = aug_df.groupBy("fk_1").agg(F.sum("gamma0").alias("gsum"))
     sql = "SELECT fk_1, SUM(gamma0) AS gsum FROM s GROUP BY fk_1"
     assert_equivalent(agg, sql, s=aug)
@@ -105,7 +101,7 @@ def test_per_fk_weighted_feature_aggregation_vs_sql(spark, binary):
     rng = np.random.default_rng(6)
     aug = s_pdf.copy()
     aug["gamma0"] = rng.random(len(aug))
-    aug_df = to_spark(spark, aug)
+    aug_df = spark.createDataFrame(aug)
     agg = aug_df.groupBy("fk_1").agg(
         F.sum(F.col("gamma0") * F.col("xs_0")).alias("gx0"),
         F.sum(F.col("gamma0") * F.col("xs_1")).alias("gx1"),
@@ -140,7 +136,7 @@ def test_collect_dimension_tables_rejects_non_contiguous_rid(spark):
     good = pd.DataFrame({"rid": [1, 2], "xr1_0": [0.1, 0.2]})
     bad = pd.DataFrame({"rid": [1, 3, 4], "xr2_0": [0.1, 0.2, 0.3]})
     with pytest.raises(ValueError, match="R2: rid must be the contiguous range"):
-        collect_dimension_tables([to_spark(spark, good), to_spark(spark, bad)])
+        collect_dimension_tables([spark.createDataFrame(good), spark.createDataFrame(bad)])
 
 
 @pytest.mark.parametrize("model", ["GMM", "NN"])
@@ -153,7 +149,7 @@ def test_f_rejects_fk_without_r_tuple(spark, binary, tmp_path, model, fk):
     s_bad.loc[7, "fk_1"] = fk
     with pytest.raises(PythonException, match=rf"fk_1={fk} has no R tuple: .* 1\.\.12"):
         train(
-            model, "F", spark, to_spark(spark, s_bad), [r_df],
+            model, "F", spark, spark.createDataFrame(s_bad), [r_df],
             init=make_init(model, 5, 2), iters=1, tmpdir=str(tmp_path),
         )
 

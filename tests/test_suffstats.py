@@ -48,9 +48,10 @@ def test_layout_addition_is_statwise():
 
 
 def test_layout_pack_shape_mismatch_raises():
-    layout = StatLayout({"a": (2,)})
-    with pytest.raises(AssertionError):
-        layout.pack({"a": np.zeros(3)})
+    """A ValueError naming the stat, not an ``assert`` that ``python -O`` strips."""
+    layout = StatLayout({"n": (), "a": (2, 3)})
+    with pytest.raises(ValueError, match=r"'a' has shape \(3, 2\), layout declares \(2, 3\)"):
+        layout.pack({"n": 1.0, "a": np.zeros((3, 2))})
 
 
 @pytest.mark.parametrize(
