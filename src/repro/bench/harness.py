@@ -18,6 +18,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.params import TrainResult, init_gmm, init_nn
+from repro.data.normalized import infer_dims, multiway_relations_pdf
 from repro.gmm import train_f_gmm, train_m_gmm, train_s_gmm
 from repro.nn import train_f_nn, train_m_nn, train_s_nn
 
@@ -35,11 +36,9 @@ def warmup(spark: SparkSession) -> None:
     (Arrow codegen, python worker spin-up, first broadcast) of a few seconds,
     which would otherwise be attributed to whichever algorithm runs first.
     """
-    from repro.data.normalized import binary_relations_pdf
-
-    s, r = binary_relations_pdf(n_s=2000, n_r=20, d_s=2, d_r=2, seed=99, target=True)
-    run_matrix(spark, "GMM", "_warmup", s, [r], size=2, iters=1)
-    run_matrix(spark, "NN", "_warmup", s, [r], size=4, iters=1)
+    s, rs = multiway_relations_pdf(n_s=2000, n_rs=[20], d_s=2, d_rs=[2], seed=99, target=True)
+    run_matrix(spark, "GMM", "_warmup", s, rs, size=2, iters=1)
+    run_matrix(spark, "NN", "_warmup", s, rs, size=4, iters=1)
 
 
 @dataclass
@@ -92,11 +91,9 @@ def run_matrix(
 ) -> list[Row]:
     """Time M/S/F of ``model`` ("GMM" or "NN") on one dataset with a shared
     init; verify agreement. ``size`` is K (GMM) or nh (NN)."""
+    d_s, d_rs = infer_dims(s_pdf, r_pdfs)
     s_df, r_dfs = prepare_relations(spark, s_pdf, r_pdfs)
-    d = sum(1 for c in s_pdf.columns if c.startswith("xs_")) + sum(
-        len([c for c in r.columns if c.startswith("xr")]) for r in r_pdfs
-    )
-    init = make_init(model, d, size)
+    init = make_init(model, d_s + sum(d_rs), size)
     tmpdir = tempfile.mkdtemp(prefix="repro_bench_")
     try:
         results = {
@@ -122,14 +119,17 @@ def run_matrix(
 
 
 def _check_agreement(results: dict, model: str, dataset: str) -> None:
-    """All algorithms must have tracked the same metric trajectory."""
-    histories = [np.asarray(r.history) for r in results.values()]
-    for h in histories[1:]:
-        if not np.allclose(h, histories[0], rtol=1e-6, atol=1e-8):
-            raise AssertionError(
-                f"{model} algorithms diverged on {dataset}: "
-                f"{[list(map(float, h)) for h in histories]}"
-            )
+    """All algorithms must have tracked the same metric trajectory and ended at
+    the same parameters. Each history entry scores the *incoming* parameters,
+    so only ``params`` shows the last update."""
+    (algo0, first), *rest = results.items()
+    ref = {"history": first.history, **vars(first.params)}
+    for algo, res in rest:
+        for what, got in {"history": res.history, **vars(res.params)}.items():
+            if not np.allclose(got, ref[what], rtol=1e-6, atol=1e-8):
+                raise AssertionError(
+                    f"{model} algorithms diverged on {dataset}: {what} of {algo} vs {algo0}"
+                )
 
 
 def format_rows(rows: list[Row], title: str) -> str:

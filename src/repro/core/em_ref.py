@@ -41,7 +41,6 @@ def mstep_from_moments(
     nk: np.ndarray,
     sx: np.ndarray,
     sxx: np.ndarray,
-    n_total: float,
     reg_covar: float = 1e-6,
 ) -> GMMParams:
     """M-step (Eq. 3-5) from raw moments; shared by every trainer.
@@ -50,7 +49,7 @@ def mstep_from_moments(
     practice to keep Cholesky factorizable when a component collapses.
     """
     k, d = sx.shape
-    pi = nk / n_total
+    pi = nk / nk.sum()  # Eq. 5: N = sum_k N_k
     mu = sx / nk[:, None]
     sigma = sxx / nk[:, None, None] - np.einsum("kd,ke->kde", mu, mu)
     sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
@@ -70,7 +69,7 @@ def em_iterate(
     quad = dense_quadratic(x, params.mu, prec)
     gamma, ll = log_responsibilities(quad, params.pi, logdet, params.d)
     nk, sx, sxx = dense_suffstats(x, gamma)
-    return mstep_from_moments(nk, sx, sxx, x.shape[0], reg_covar), float(ll.sum())
+    return mstep_from_moments(nk, sx, sxx, reg_covar), float(ll.sum())
 
 
 def em_fit(

@@ -33,14 +33,18 @@ def block_offsets(dims: list[int]) -> list[int]:
 def precisions_and_logdets(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-component precision matrices ``Sigma_k^{-1}`` and ``log|Sigma_k|``.
 
-    Uses Cholesky-based inversion for stability; raises ``LinAlgError`` if a
-    covariance has collapsed (callers regularize via ``reg_covar`` upstream).
+    Uses Cholesky-based inversion for stability; raises ``LinAlgError`` naming
+    the component if a covariance has collapsed (callers regularize via
+    ``reg_covar`` upstream).
     """
     k, d, _ = sigma.shape
     prec = np.empty_like(sigma)
     logdet = np.empty(k)
     for i in range(k):
-        chol = np.linalg.cholesky(sigma[i])
+        try:
+            chol = np.linalg.cholesky(sigma[i])
+        except np.linalg.LinAlgError as e:
+            raise np.linalg.LinAlgError(f"component {i}: covariance not positive definite") from e
         logdet[i] = 2.0 * np.log(np.diag(chol)).sum()
         li = np.linalg.inv(chol)  # Sigma^{-1} = L^{-T} L^{-1}
         prec[i] = li.T @ li

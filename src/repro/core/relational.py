@@ -1,6 +1,8 @@
 """DataFrame-side relational helpers shared by every trainer.
 
-Schema introspection (feature column discovery), the canonical Catalyst
+Every helper takes the attribute tables as a list ``[R_1..R_q]`` (``[R]`` for
+the binary join) and their widths from ``repro.data.normalized.infer_dims``,
+the one reader of the column convention. Here: the canonical Catalyst
 equi-join producing the denormalized view ``T`` (used by M-* and S-*), and,
 for F-*, collection of the dimension tables into broadcast-ready NumPy
 matrices plus the decoding of fact-table FKs into rows of those matrices.
@@ -11,21 +13,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.data.normalized import fk_cols, r_feature_cols, s_feature_cols
-
-
-def as_list(r_dfs) -> list[DataFrame]:
-    return [r_dfs] if isinstance(r_dfs, DataFrame) else list(r_dfs)
-
-
-def infer_dims(s_df: DataFrame, r_dfs: list[DataFrame]) -> tuple[int, list[int]]:
-    """(dS, [dR1..dRq]) from the column-naming convention."""
-    d_s = sum(1 for c in s_df.columns if c.startswith("xs_"))
-    d_rs = [
-        sum(1 for c in r.columns if c.startswith(f"xr{t}_"))
-        for t, r in enumerate(r_dfs, start=1)
-    ]
-    return d_s, d_rs
+from repro.data.normalized import fk_cols, infer_dims, r_feature_cols, s_feature_cols
 
 
 def joined_feature_cols(d_s: int, d_rs: list[int]) -> list[str]:
@@ -54,8 +42,10 @@ def denormalize(
     return t.select("sid", *extra_cols, *joined_feature_cols(d_s, d_rs))
 
 
-def collect_dimension_tables(r_dfs: list[DataFrame]) -> list[np.ndarray]:
+def collect_dimension_tables(r_dfs: list[DataFrame], d_rs: list[int]) -> list[np.ndarray]:
     """Collect each R_i to a dense (nRi, dRi) matrix ordered by rid.
+
+    ``d_rs`` are the widths ``infer_dims`` read, which the caller holds.
 
     Requires rid to be the contiguous range 1..nR (generator invariant), so
     row ``r`` of the matrix is the tuple with ``rid = r + 1`` and F-* trainers
@@ -64,8 +54,7 @@ def collect_dimension_tables(r_dfs: list[DataFrame]) -> list[np.ndarray]:
     the wrong R rows.
     """
     out = []
-    for t, r in enumerate(r_dfs, start=1):
-        d_r = sum(1 for c in r.columns if c.startswith(f"xr{t}_"))
+    for t, (r, d_r) in enumerate(zip(r_dfs, d_rs), start=1):
         pdf = r.toPandas().sort_values("rid").reset_index(drop=True)
         if not np.array_equal(pdf["rid"].to_numpy(), np.arange(1, len(pdf) + 1)):
             raise ValueError(f"R{t}: rid must be the contiguous range 1..{len(pdf)}")

@@ -1,7 +1,8 @@
 """Synthetic normalized relations with a PK/FK star schema (paper Section IV).
 
 Generates the paper's input shape: a fact relation ``S(sid, [y,] x_S, fk_1..q)``
-and attribute relations ``R_i(rid_i, x_Ri)`` with ``S.fk_i -> R_i.rid``.
+and a list of attribute relations ``[R_1..R_q]``, ``R_i(rid, x_Ri)`` with
+``S.fk_i -> R_i.rid``. The binary join is the list of one (q = 1).
 Feature values are sampled from a mixture of Gaussians plus random noise,
 "in accordance with previous work [22]" (Section VII-A).
 
@@ -9,8 +10,9 @@ Conventions relied on throughout the repo:
 
 * ``rid`` values are the contiguous range ``1..nR`` — F-* trainers index the
   broadcast R feature matrix with ``fk - 1`` instead of executing a join;
-* feature columns are ``xs_0..`` on S and ``xr{i}_0..`` on R_i (``xr1_...`` for
-  the binary case's single attribute table);
+* feature columns are ``xs_0..`` on S and ``xr{i}_0..`` on R_i, and the FK
+  to R_i is ``fk_i``; this module is the one place that reads the convention
+  (``infer_dims``, ``*_cols``);
 * the joined feature layout is ``[x_S | x_R1 | ... | x_Rq]`` matching
   ``repro.core.linalg``.
 
@@ -28,12 +30,24 @@ def s_feature_cols(d_s: int) -> list[str]:
     return [f"xs_{i}" for i in range(d_s)]
 
 
-def r_feature_cols(d_r: int, table: int = 1) -> list[str]:
+def r_feature_cols(d_r: int, table: int) -> list[str]:
     return [f"xr{table}_{i}" for i in range(d_r)]
 
 
 def fk_cols(q: int) -> list[str]:
     return [f"fk_{i}" for i in range(1, q + 1)]
+
+
+def infer_dims(s, rs: list) -> tuple[int, list[int]]:
+    """``(dS, [dR1..dRq])`` of ``S`` and its list of attribute tables.
+
+    Reads ``.columns``, so pandas and Spark frames both work. ``rs`` is a list
+    even when q = 1; a bare frame raises ``TypeError`` before any Spark job.
+    """
+    if not isinstance(rs, list):
+        raise TypeError(f"expected a list of attribute tables [R1..Rq], got {type(rs).__name__}")
+    d_s = sum(c.startswith("xs_") for c in s.columns)
+    return d_s, [sum(c.startswith(f"xr{t}_") for c in r.columns) for t, r in enumerate(rs, 1)]
 
 
 def gaussian_mixture_features(n: int, d: int, seed: int, k_true: int = 5) -> np.ndarray:
@@ -112,45 +126,17 @@ def multiway_relations_pdf(
     return sdf, rs
 
 
-def binary_relations_pdf(
-    *,
-    n_s: int,
-    n_r: int,
-    d_s: int,
-    d_r: int,
-    seed: int = 0,
-    target: bool = False,
-    sparse_s: bool = False,
-    sparse_r: bool = False,
-) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Binary-join special case: S(sid, [y,] xs_*, fk_1) and R(rid, xr1_*)."""
-    s, rs = multiway_relations_pdf(
-        n_s=n_s,
-        n_rs=[n_r],
-        d_s=d_s,
-        d_rs=[d_r],
-        seed=seed,
-        target=target,
-        sparse_s=sparse_s,
-        sparse_r=sparse_r,
-    )
-    return s, rs[0]
-
-
 def densify_pdf(
-    s: pd.DataFrame, rs: list[pd.DataFrame] | pd.DataFrame
+    s: pd.DataFrame, rs: list[pd.DataFrame]
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Materialize the joined feature matrix ``[x_S | x_R1 | ...]`` in NumPy.
 
     Ground-truth densification for the reference trainers; row order is S's
     order (``T`` has one row per S tuple, N = nS). Returns ``(X, y-or-None)``.
     """
-    if isinstance(rs, pd.DataFrame):
-        rs = [rs]
-    d_s = len([c for c in s.columns if c.startswith("xs_")])
+    d_s, d_rs = infer_dims(s, rs)
     parts = [s[s_feature_cols(d_s)].to_numpy(dtype=np.float64)]
-    for t, r in enumerate(rs, start=1):
-        d_r = len([c for c in r.columns if c.startswith(f"xr{t}_")])
+    for t, (r, d_r) in enumerate(zip(rs, d_rs), start=1):
         xr = r.sort_values("rid")[r_feature_cols(d_r, t)].to_numpy(dtype=np.float64)
         fk = s[f"fk_{t}"].to_numpy(dtype=np.int64)
         parts.append(xr[fk - 1])

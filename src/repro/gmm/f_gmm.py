@@ -23,8 +23,8 @@ from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.em_ref import mstep_from_moments
 from repro.core.linalg import MultiwayTerms
 from repro.core.params import GMMParams, TrainResult
-from repro.core.relational import as_list, collect_dimension_tables, infer_dims, s_input_cols
-from repro.data.normalized import fk_cols, s_feature_cols
+from repro.core.relational import collect_dimension_tables, s_input_cols
+from repro.data.normalized import fk_cols, infer_dims, s_feature_cols
 from repro.gmm.suffstats import (
     assemble_moments,
     factorized_layout,
@@ -36,38 +36,33 @@ from repro.gmm.suffstats import (
 def train_f_gmm(
     spark: SparkSession,
     s_df: DataFrame,
-    r_dfs,
+    r_dfs: list[DataFrame],
     *,
     init: GMMParams,
     iters: int = 10,
     tol: float | None = None,
 ) -> TrainResult:
     """Train a GMM fully factorized over S and R1..Rq (algorithm F-GMM)."""
-    r_dfs = as_list(r_dfs)
     d_s, d_rs = infer_dims(s_df, r_dfs)
     q = len(r_dfs)
-    xrs = collect_dimension_tables(r_dfs)
+    xrs = collect_dimension_tables(r_dfs, d_rs)
     n_rs = [xr.shape[0] for xr in xrs]
     s_cols = s_feature_cols(d_s)
     fks = fk_cols(q)
     s_in = s_df.select(*s_input_cols(d_s, q))
 
     layout = factorized_layout(init.k, d_s, n_rs, d_rs)
-    n_total = None
     # Ship the dimension matrices to executors once, not per iteration.
     bc_xrs = spark.sparkContext.broadcast(xrs)
 
     def step(params):
-        nonlocal n_total
         payload = gmm_payload(params)
         # Per-R-tuple terms: the "compute once, reuse rr times" step.
         terms = MultiwayTerms(xrs, params.mu, payload["prec"], [d_s, *d_rs])
         batch_fn = _make_batch_fn(payload, terms, bc_xrs, s_cols, fks, layout)
         stats = layout.unpack(aggregate_partitions(s_in, batch_fn, layout.size))
         nk, sx, sxx, ll = assemble_moments(stats, xrs)
-        if n_total is None:
-            n_total = float(nk.sum())
-        return ll, mstep_from_moments(nk, sx, sxx, n_total)
+        return ll, mstep_from_moments(nk, sx, sxx)
 
     try:
         return fit(init, step, iters, tol=tol)

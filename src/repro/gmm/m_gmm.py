@@ -15,7 +15,8 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.em_ref import mstep_from_moments
 from repro.core.params import GMMParams, TrainResult
-from repro.core.relational import as_list, denormalize, infer_dims, joined_feature_cols
+from repro.core.relational import denormalize, joined_feature_cols
+from repro.data.normalized import infer_dims
 from repro.gmm.suffstats import (
     assemble_moments,
     factorized_layout,
@@ -27,7 +28,7 @@ from repro.gmm.suffstats import (
 def train_m_gmm(
     spark: SparkSession,
     s_df: DataFrame,
-    r_dfs,
+    r_dfs: list[DataFrame],
     *,
     init: GMMParams,
     iters: int = 10,
@@ -35,7 +36,6 @@ def train_m_gmm(
     tol: float | None = None,
 ) -> TrainResult:
     """Train a GMM via materialized denormalization (baseline M-GMM)."""
-    r_dfs = as_list(r_dfs)
     d_s, d_rs = infer_dims(s_df, r_dfs)
     feat_cols = joined_feature_cols(d_s, d_rs)
     path = f"{tmpdir}/m_gmm_T.parquet"
@@ -45,17 +45,13 @@ def train_m_gmm(
     t_mat = time.perf_counter() - t0
 
     layout = factorized_layout(init.k, init.d, [], [])
-    n_total = None
 
     def step(params):
-        nonlocal n_total
         # Re-read the wide materialized table every pass, as Algorithm 1 does.
         t_df = spark.read.parquet(path).select(*feat_cols)
         batch_fn = make_factorized_batch_fn(gmm_payload(params), None, [], feat_cols, [], layout)
         stats = layout.unpack(aggregate_partitions(t_df, batch_fn, layout.size))
         nk, sx, sxx, ll = assemble_moments(stats, [])
-        if n_total is None:
-            n_total = float(nk.sum())
-        return ll, mstep_from_moments(nk, sx, sxx, n_total)
+        return ll, mstep_from_moments(nk, sx, sxx)
 
     return fit(init, step, iters, tol=tol, materialize_s=t_mat)

@@ -19,14 +19,8 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.nn_ref import ACTIVATIONS, apply_gradients
 from repro.core.params import NNParams, TrainResult
-from repro.core.relational import (
-    as_list,
-    collect_dimension_tables,
-    fk_rows,
-    infer_dims,
-    s_input_cols,
-)
-from repro.data.normalized import fk_cols, s_feature_cols
+from repro.core.relational import collect_dimension_tables, fk_rows, s_input_cols
+from repro.data.normalized import fk_cols, infer_dims, s_feature_cols
 from repro.nn.model import (
     factorized_grad_layout,
     factorized_grad_stats,
@@ -39,7 +33,7 @@ from repro.nn.model import (
 def train_f_nn(
     spark: SparkSession,
     s_df: DataFrame,
-    r_dfs,
+    r_dfs: list[DataFrame],
     *,
     init: NNParams,
     epochs: int = 10,
@@ -47,10 +41,9 @@ def train_f_nn(
     activation: str = "sigmoid",
 ) -> TrainResult:
     """Train the network factorized over S and R1..Rq (algorithm F-NN)."""
-    r_dfs = as_list(r_dfs)
     d_s, d_rs = infer_dims(s_df, r_dfs)
     q = len(r_dfs)
-    xrs = collect_dimension_tables(r_dfs)
+    xrs = collect_dimension_tables(r_dfs, d_rs)
     n_rs = [xr.shape[0] for xr in xrs]
     s_cols = s_feature_cols(d_s)
     fks = fk_cols(q)

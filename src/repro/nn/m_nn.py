@@ -16,7 +16,8 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.nn_ref import ACTIVATIONS, apply_gradients
 from repro.core.params import NNParams, TrainResult
-from repro.core.relational import as_list, denormalize, infer_dims, joined_feature_cols
+from repro.core.relational import denormalize, joined_feature_cols
+from repro.data.normalized import infer_dims
 from repro.nn.model import dense_grad_stats, factorized_grad_layout, finalize_factorized
 
 
@@ -34,7 +35,7 @@ def _dense_batch_fn(p: NNParams, act_name: str, feat_cols, layout):
 def train_m_nn(
     spark: SparkSession,
     s_df: DataFrame,
-    r_dfs,
+    r_dfs: list[DataFrame],
     *,
     init: NNParams,
     epochs: int = 10,
@@ -43,7 +44,6 @@ def train_m_nn(
     tmpdir: str,
 ) -> TrainResult:
     """Train the 1-hidden-layer network over a materialized join (M-NN)."""
-    r_dfs = as_list(r_dfs)
     d_s, d_rs = infer_dims(s_df, r_dfs)
     feat_cols = joined_feature_cols(d_s, d_rs)
     path = f"{tmpdir}/m_nn_T.parquet"

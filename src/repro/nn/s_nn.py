@@ -12,7 +12,8 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.nn_ref import apply_gradients
 from repro.core.params import NNParams, TrainResult
-from repro.core.relational import as_list, denormalize, infer_dims, joined_feature_cols
+from repro.core.relational import denormalize, joined_feature_cols
+from repro.data.normalized import infer_dims
 from repro.nn.m_nn import _dense_batch_fn
 from repro.nn.model import factorized_grad_layout, finalize_factorized
 
@@ -20,7 +21,7 @@ from repro.nn.model import factorized_grad_layout, finalize_factorized
 def train_s_nn(
     spark: SparkSession,
     s_df: DataFrame,
-    r_dfs,
+    r_dfs: list[DataFrame],
     *,
     init: NNParams,
     epochs: int = 10,
@@ -28,7 +29,6 @@ def train_s_nn(
     activation: str = "sigmoid",
 ) -> TrainResult:
     """Train the network with the join streamed per epoch (S-NN)."""
-    r_dfs = as_list(r_dfs)
     d_s, d_rs = infer_dims(s_df, r_dfs)
     feat_cols = joined_feature_cols(d_s, d_rs)
 

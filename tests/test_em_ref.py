@@ -61,7 +61,7 @@ def test_mstep_valid_distribution(data, k):
     quad = dense_quadratic(data, init.mu, prec)
     gamma, _ = log_responsibilities(quad, init.pi, logdet, 4)
     nk, sx, sxx = dense_suffstats(data, gamma)
-    p = mstep_from_moments(nk, sx, sxx, data.shape[0])
+    p = mstep_from_moments(nk, sx, sxx)
     np.testing.assert_allclose(p.pi.sum(), 1.0, rtol=1e-12)
     for i in range(k):
         np.testing.assert_allclose(p.sigma[i], p.sigma[i].T, rtol=1e-12)
@@ -75,7 +75,7 @@ def test_raw_moment_mstep_equals_centered_two_pass(data):
     quad = dense_quadratic(data, init.mu, prec)
     gamma, _ = log_responsibilities(quad, init.pi, logdet, 4)
     nk, sx, sxx = dense_suffstats(data, gamma)
-    ours = mstep_from_moments(nk, sx, sxx, data.shape[0], reg_covar=0.0)
+    ours = mstep_from_moments(nk, sx, sxx, reg_covar=0.0)
     # Independent textbook implementation (Algorithm 1 Lines 13-21): first
     # pass for mu (Eq. 3), second centered pass for Sigma (Eq. 4).
     for i in range(3):
@@ -94,8 +94,8 @@ def test_reg_covar_added_to_diagonal(data):
     quad = dense_quadratic(data, init.mu, prec)
     gamma, _ = log_responsibilities(quad, init.pi, logdet, 4)
     nk, sx, sxx = dense_suffstats(data, gamma)
-    p0 = mstep_from_moments(nk, sx, sxx, data.shape[0], reg_covar=0.0)
-    p1 = mstep_from_moments(nk, sx, sxx, data.shape[0], reg_covar=0.5)
+    p0 = mstep_from_moments(nk, sx, sxx, reg_covar=0.0)
+    p1 = mstep_from_moments(nk, sx, sxx, reg_covar=0.5)
     np.testing.assert_allclose(p1.sigma - p0.sigma, np.tile(0.5 * np.eye(4), (2, 1, 1)), atol=1e-12)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.em_ref import em_fit
 from repro.core.params import init_gmm
-from repro.data.normalized import binary_relations_pdf, densify_pdf
+from repro.data.normalized import densify_pdf, multiway_relations_pdf
 from repro.gmm import train_f_gmm, train_m_gmm, train_s_gmm
 
 CONFIGS = {
@@ -24,18 +24,18 @@ CONFIGS = {
 @pytest.fixture(scope="module", params=list(CONFIGS), ids=list(CONFIGS))
 def trained(request, spark, tmp_path_factory):
     cfg = CONFIGS[request.param]
-    s_pdf, r_pdf = binary_relations_pdf(
-        n_s=cfg["n_s"], n_r=cfg["n_r"], d_s=cfg["d_s"], d_r=cfg["d_r"], seed=cfg["seed"]
+    s_pdf, r_pdfs = multiway_relations_pdf(
+        n_s=cfg["n_s"], n_rs=[cfg["n_r"]], d_s=cfg["d_s"], d_rs=[cfg["d_r"]], seed=cfg["seed"]
     )
-    x, _ = densify_pdf(s_pdf, r_pdf)
+    x, _ = densify_pdf(s_pdf, r_pdfs)
     init = init_gmm(cfg["d_s"] + cfg["d_r"], cfg["k"], cfg["seed"] + 10)
     ref = em_fit(x, init, iters=cfg["iters"])
-    s_df, r_df = spark.createDataFrame(s_pdf), spark.createDataFrame(r_pdf)
+    s_df, r_dfs = spark.createDataFrame(s_pdf), [spark.createDataFrame(r) for r in r_pdfs]
     tmpdir = str(tmp_path_factory.mktemp(f"mgmm_{request.param}"))
     results = {
-        "M": train_m_gmm(spark, s_df, r_df, init=init, iters=cfg["iters"], tmpdir=tmpdir),
-        "S": train_s_gmm(spark, s_df, r_df, init=init, iters=cfg["iters"]),
-        "F": train_f_gmm(spark, s_df, r_df, init=init, iters=cfg["iters"]),
+        "M": train_m_gmm(spark, s_df, r_dfs, init=init, iters=cfg["iters"], tmpdir=tmpdir),
+        "S": train_s_gmm(spark, s_df, r_dfs, init=init, iters=cfg["iters"]),
+        "F": train_f_gmm(spark, s_df, r_dfs, init=init, iters=cfg["iters"]),
     }
     return cfg, ref, results
 

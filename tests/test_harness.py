@@ -4,18 +4,18 @@ import re
 import pytest
 
 from repro.bench.harness import Row, _check_agreement, format_rows, run_matrix
-from repro.core.params import TrainResult
-from repro.data.normalized import binary_relations_pdf
+from repro.core.params import TrainResult, init_gmm
+from repro.data.normalized import multiway_relations_pdf
 
 
 @pytest.fixture(scope="module")
 def tiny():
-    return binary_relations_pdf(n_s=600, n_r=8, d_s=2, d_r=2, seed=0, target=True)
+    return multiway_relations_pdf(n_s=600, n_rs=[8], d_s=2, d_rs=[2], seed=0, target=True)
 
 
 def test_run_gmm_matrix_rows(spark, tiny):
-    s, r = tiny
-    rows = run_matrix(spark, "GMM", "tiny", s, [r], size=2, iters=2)
+    s, rs = tiny
+    rows = run_matrix(spark, "GMM", "tiny", s, rs, size=2, iters=2)
     assert [row.algo for row in rows] == ["M-GMM", "S-GMM", "F-GMM"]
     assert all(row.dataset == "tiny" for row in rows)
     assert all(row.seconds > 0 for row in rows)
@@ -24,18 +24,26 @@ def test_run_gmm_matrix_rows(spark, tiny):
 
 
 def test_run_nn_matrix_rows(spark, tiny):
-    s, r = tiny
-    rows = run_matrix(spark, "NN", "tiny", s, [r], size=4, iters=2)
+    s, rs = tiny
+    rows = run_matrix(spark, "NN", "tiny", s, rs, size=4, iters=2)
     assert [row.algo for row in rows] == ["M-NN", "S-NN", "F-NN"]
     assert rows[0].materialize_s > 0  # M materializes
     assert rows[2].materialize_s == 0.0  # F does not
 
 
 def test_check_agreement_raises_on_divergence():
-    ok = {"a": TrainResult(None, [1.0, 2.0]), "b": TrainResult(None, [1.0, 2.0])}
+    p = init_gmm(2, 2, 0)
+    ok = {"a": TrainResult(p, [1.0, 2.0]), "b": TrainResult(p.copy(), [1.0, 2.0])}
     _check_agreement(ok, "GMM", "ds")
-    bad = {"a": TrainResult(None, [1.0, 2.0]), "b": TrainResult(None, [1.0, 9.0])}
+    bad = {"a": TrainResult(p, [1.0, 2.0]), "b": TrainResult(p.copy(), [1.0, 9.0])}
     with pytest.raises(AssertionError, match="diverged"):
+        _check_agreement(bad, "GMM", "ds")
+    # Histories score the incoming parameters, so a diverged last update
+    # shows only in the final params.
+    last = p.copy()
+    last.mu[1, 0] += 1e-3
+    bad = {"a": TrainResult(p, [1.0, 2.0]), "b": TrainResult(last, [1.0, 2.0])}
+    with pytest.raises(AssertionError, match="diverged on ds: mu of b"):
         _check_agreement(bad, "GMM", "ds")
 
 

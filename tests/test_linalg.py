@@ -58,8 +58,13 @@ def test_precisions_invert_and_logdet(d, k):
 
 
 def test_precisions_raise_on_non_spd():
+    """A collapsed covariance raises ``LinAlgError`` naming its component."""
     sigma = -np.eye(3)[None]
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(np.linalg.LinAlgError, match="component 0"):
+        precisions_and_logdets(sigma)
+    sigma = np.tile(np.eye(3), (3, 1, 1))
+    sigma[1] = 0.0  # only component 1 is singular
+    with pytest.raises(np.linalg.LinAlgError, match="component 1: covariance"):
         precisions_and_logdets(sigma)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.nn_ref import nn_fit
 from repro.core.params import init_nn
-from repro.data.normalized import binary_relations_pdf, densify_pdf
+from repro.data.normalized import densify_pdf, multiway_relations_pdf
 from repro.nn import train_f_nn, train_m_nn, train_s_nn
 
 CONFIGS = {
@@ -24,26 +24,26 @@ CONFIGS = {
 @pytest.fixture(scope="module", params=list(CONFIGS), ids=list(CONFIGS))
 def trained(request, spark, tmp_path_factory):
     cfg = CONFIGS[request.param]
-    s_pdf, r_pdf = binary_relations_pdf(
+    s_pdf, r_pdfs = multiway_relations_pdf(
         n_s=cfg["n_s"],
-        n_r=cfg["n_r"],
+        n_rs=[cfg["n_r"]],
         d_s=cfg["d_s"],
-        d_r=cfg["d_r"],
+        d_rs=[cfg["d_r"]],
         seed=cfg["seed"],
         target=True,
         sparse_s=cfg.get("sparse", False),
         sparse_r=cfg.get("sparse", False),
     )
-    x, y = densify_pdf(s_pdf, r_pdf)
+    x, y = densify_pdf(s_pdf, r_pdfs)
     init = init_nn(cfg["d_s"] + cfg["d_r"], cfg["nh"], cfg["seed"] + 30)
     kw = dict(epochs=cfg["epochs"], lr=cfg["lr"], activation=cfg["act"])
     ref = nn_fit(x, y, init, **kw)
-    s_df, r_df = spark.createDataFrame(s_pdf), spark.createDataFrame(r_pdf)
+    s_df, r_dfs = spark.createDataFrame(s_pdf), [spark.createDataFrame(r) for r in r_pdfs]
     tmpdir = str(tmp_path_factory.mktemp(f"mnn_{request.param}"))
     results = {
-        "M": train_m_nn(spark, s_df, r_df, init=init, tmpdir=tmpdir, **kw),
-        "S": train_s_nn(spark, s_df, r_df, init=init, **kw),
-        "F": train_f_nn(spark, s_df, r_df, init=init, **kw),
+        "M": train_m_nn(spark, s_df, r_dfs, init=init, tmpdir=tmpdir, **kw),
+        "S": train_s_nn(spark, s_df, r_dfs, init=init, **kw),
+        "F": train_f_nn(spark, s_df, r_dfs, init=init, **kw),
     }
     return cfg, ref, results
 

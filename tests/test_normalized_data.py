@@ -4,10 +4,10 @@ import pandas as pd
 import pytest
 
 from repro.data.normalized import (
-    binary_relations_pdf,
     densify_pdf,
     fk_cols,
     gaussian_mixture_features,
+    infer_dims,
     multiway_relations_pdf,
     one_hot_features,
     r_feature_cols,
@@ -23,7 +23,7 @@ def test_column_name_helpers():
 
 @pytest.mark.parametrize("n_s,n_r,d_s,d_r", [(100, 10, 2, 3), (500, 7, 1, 1), (50, 50, 4, 2)])
 def test_binary_schema(n_s, n_r, d_s, d_r):
-    s, r = binary_relations_pdf(n_s=n_s, n_r=n_r, d_s=d_s, d_r=d_r, seed=0)
+    s, [r] = multiway_relations_pdf(n_s=n_s, n_rs=[n_r], d_s=d_s, d_rs=[d_r], seed=0)
     assert list(s.columns) == ["sid", *s_feature_cols(d_s), "fk_1"]
     assert list(r.columns) == ["rid", *r_feature_cols(d_r, 1)]
     assert len(s) == n_s and len(r) == n_r
@@ -33,7 +33,7 @@ def test_binary_schema(n_s, n_r, d_s, d_r):
 
 
 def test_binary_schema_with_target():
-    s, _ = binary_relations_pdf(n_s=50, n_r=5, d_s=2, d_r=2, seed=0, target=True)
+    s, _ = multiway_relations_pdf(n_s=50, n_rs=[5], d_s=2, d_rs=[2], seed=0, target=True)
     assert list(s.columns[:2]) == ["sid", "y"]
     assert s["y"].dtype == np.float64
 
@@ -54,21 +54,21 @@ def test_multiway_rejects_mismatched_table_lists():
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_determinism(seed):
-    a_s, a_r = binary_relations_pdf(n_s=60, n_r=6, d_s=2, d_r=2, seed=seed)
-    b_s, b_r = binary_relations_pdf(n_s=60, n_r=6, d_s=2, d_r=2, seed=seed)
+    a_s, [a_r] = multiway_relations_pdf(n_s=60, n_rs=[6], d_s=2, d_rs=[2], seed=seed)
+    b_s, [b_r] = multiway_relations_pdf(n_s=60, n_rs=[6], d_s=2, d_rs=[2], seed=seed)
     pd.testing.assert_frame_equal(a_s, b_s)
     pd.testing.assert_frame_equal(a_r, b_r)
 
 
 def test_different_seeds_differ():
-    a_s, _ = binary_relations_pdf(n_s=60, n_r=6, d_s=2, d_r=2, seed=0)
-    b_s, _ = binary_relations_pdf(n_s=60, n_r=6, d_s=2, d_r=2, seed=1)
+    a_s, _ = multiway_relations_pdf(n_s=60, n_rs=[6], d_s=2, d_rs=[2], seed=0)
+    b_s, _ = multiway_relations_pdf(n_s=60, n_rs=[6], d_s=2, d_rs=[2], seed=1)
     assert not a_s[s_feature_cols(2)].equals(b_s[s_feature_cols(2)])
 
 
 def test_densify_matches_pandas_merge():
-    s, r = binary_relations_pdf(n_s=40, n_r=5, d_s=2, d_r=3, seed=2, target=True)
-    x, y = densify_pdf(s, r)
+    s, [r] = multiway_relations_pdf(n_s=40, n_rs=[5], d_s=2, d_rs=[3], seed=2, target=True)
+    x, y = densify_pdf(s, [r])
     merged = s.merge(r, left_on="fk_1", right_on="rid", how="inner").sort_values("sid")
     expect = merged[[*s_feature_cols(2), *r_feature_cols(3, 1)]].to_numpy()
     np.testing.assert_allclose(x, expect)
@@ -84,6 +84,18 @@ def test_densify_multiway_shape_and_values():
     fk1, fk2 = s.loc[0, "fk_1"], s.loc[0, "fk_2"]
     np.testing.assert_allclose(x[0, 1:3], rs[0].loc[fk1 - 1, r_feature_cols(2, 1)].to_numpy())
     np.testing.assert_allclose(x[0, 3:6], rs[1].loc[fk2 - 1, r_feature_cols(3, 2)].to_numpy())
+
+
+def test_infer_dims_reads_pandas_frames():
+    s, rs = multiway_relations_pdf(n_s=20, n_rs=[4, 3], d_s=2, d_rs=[3, 1], seed=0, target=True)
+    assert infer_dims(s, rs) == (2, [3, 1])
+    assert infer_dims(s, rs[:1]) == (2, [3])
+
+
+def test_densify_rejects_bare_r_frame():
+    s, [r] = multiway_relations_pdf(n_s=20, n_rs=[4], d_s=2, d_rs=[3], seed=0)
+    with pytest.raises(TypeError, match="list of attribute tables .* got DataFrame"):
+        densify_pdf(s, r)
 
 
 def test_gaussian_mixture_features_stats():
@@ -105,8 +117,8 @@ def test_one_hot_blocks(width):
 
 
 def test_sparse_flags_apply_one_hot():
-    s, r = binary_relations_pdf(
-        n_s=50, n_r=5, d_s=4, d_r=6, seed=4, sparse_s=True, sparse_r=True
+    s, [r] = multiway_relations_pdf(
+        n_s=50, n_rs=[5], d_s=4, d_rs=[6], seed=4, sparse_s=True, sparse_r=True
     )
     assert set(np.unique(s[s_feature_cols(4)].to_numpy())) <= {0.0, 1.0}
     assert set(np.unique(r[r_feature_cols(6, 1)].to_numpy())) <= {0.0, 1.0}
@@ -114,8 +126,8 @@ def test_sparse_flags_apply_one_hot():
 
 def test_target_depends_on_r_features():
     """y must carry signal from the joined R features (the join matters)."""
-    s, r = binary_relations_pdf(n_s=4000, n_r=10, d_s=1, d_r=5, seed=5, target=True)
-    x, y = densify_pdf(s, r)
+    s, rs = multiway_relations_pdf(n_s=4000, n_rs=[10], d_s=1, d_rs=[5], seed=5, target=True)
+    x, y = densify_pdf(s, rs)
     # correlation of y with the R part of the joined features is material
     r_part = x[:, 1:]
     corr = max(abs(np.corrcoef(r_part[:, j], y)[0, 1]) for j in range(5))

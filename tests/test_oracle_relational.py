@@ -15,17 +15,18 @@ from repro.core.relational import (
     collect_dimension_tables,
     denormalize,
     fk_rows,
-    infer_dims,
     joined_feature_cols,
     s_input_cols,
 )
-from repro.data.normalized import binary_relations_pdf, multiway_relations_pdf
+from repro.data.normalized import infer_dims, multiway_relations_pdf
 from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
 def binary(spark):
-    s_pdf, r_pdf = binary_relations_pdf(n_s=500, n_r=12, d_s=2, d_r=3, seed=0, target=True)
+    s_pdf, [r_pdf] = multiway_relations_pdf(
+        n_s=500, n_rs=[12], d_s=2, d_rs=[3], seed=0, target=True
+    )
     return s_pdf, r_pdf, spark.createDataFrame(s_pdf), spark.createDataFrame(r_pdf)
 
 
@@ -125,7 +126,7 @@ def test_infer_dims_and_joined_cols(binary, threeway):
 
 def test_collect_dimension_tables_order_and_values(threeway):
     s_pdf, r_pdfs, _, r_dfs = threeway
-    xrs = collect_dimension_tables(r_dfs)
+    xrs = collect_dimension_tables(r_dfs, [2, 2])
     for xr, r_pdf, t in zip(xrs, r_pdfs, [1, 2]):
         cols = [c for c in r_pdf.columns if c.startswith(f"xr{t}_")]
         np.testing.assert_allclose(xr, r_pdf.sort_values("rid")[cols].to_numpy())
@@ -136,7 +137,9 @@ def test_collect_dimension_tables_rejects_non_contiguous_rid(spark):
     good = pd.DataFrame({"rid": [1, 2], "xr1_0": [0.1, 0.2]})
     bad = pd.DataFrame({"rid": [1, 3, 4], "xr2_0": [0.1, 0.2, 0.3]})
     with pytest.raises(ValueError, match="R2: rid must be the contiguous range"):
-        collect_dimension_tables([spark.createDataFrame(good), spark.createDataFrame(bad)])
+        collect_dimension_tables(
+            [spark.createDataFrame(good), spark.createDataFrame(bad)], [1, 1]
+        )
 
 
 @pytest.mark.parametrize("model", ["GMM", "NN"])
@@ -152,6 +155,25 @@ def test_f_rejects_fk_without_r_tuple(spark, binary, tmp_path, model, fk):
             model, "F", spark, spark.createDataFrame(s_bad), [r_df],
             init=make_init(model, 5, 2), iters=1, tmpdir=str(tmp_path),
         )
+
+
+@pytest.mark.parametrize("model", ["GMM", "NN"])
+@pytest.mark.parametrize("algo", ["M", "S", "F"])
+def test_trainers_reject_bare_r_frame(spark, binary, tmp_path, model, algo):
+    """R is a list of attribute tables even when q = 1: a bare frame fails
+    with a named TypeError before the trainer starts any Spark job."""
+    _, _, s_df, r_df = binary
+    sc = spark.sparkContext
+    sc.setJobGroup("bare_r", "a trainer handed a bare R frame")
+    try:
+        with pytest.raises(TypeError, match="list of attribute tables .* got DataFrame"):
+            train(
+                model, algo, spark, s_df, r_df,
+                init=make_init(model, 5, 2), iters=1, tmpdir=str(tmp_path),
+            )
+        assert sc.statusTracker().getJobIdsForGroup("bare_r") == []
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
 
 
 def test_s_input_cols_excludes_r_features():

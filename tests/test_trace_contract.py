@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import layers  # noqa: E402
 from repro.bench.harness import make_init, train  # noqa: E402
-from repro.data.normalized import binary_relations_pdf  # noqa: E402
+from repro.data.normalized import multiway_relations_pdf  # noqa: E402
 
 ITERS = 2
 # Driver calls made once per training, not once per iteration.
@@ -24,8 +24,10 @@ ONCE = {"collect_dimension_tables"}
 
 @pytest.fixture(scope="module")
 def relations(spark):
-    s_pdf, r_pdf = binary_relations_pdf(n_s=300, n_r=6, d_s=2, d_r=2, seed=0, target=True)
-    return spark.createDataFrame(s_pdf), [spark.createDataFrame(r_pdf)]
+    s_pdf, r_pdfs = multiway_relations_pdf(
+        n_s=300, n_rs=[6], d_s=2, d_rs=[2], seed=0, target=True
+    )
+    return spark.createDataFrame(s_pdf), [spark.createDataFrame(r) for r in r_pdfs]
 
 
 @pytest.mark.parametrize("model", list(layers.TRAINER_MODULES))
