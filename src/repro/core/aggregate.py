@@ -7,8 +7,11 @@ Every trainer in this repo is an iterative loop of the shape
 where ``stats`` is a fixed collection of named NumPy arrays (sufficient
 statistics or gradients). ``StatLayout`` flattens such a collection into one
 1-D float64 vector (so partial results add with a single ``+``),
-``aggregate_partitions`` runs one ``mapInPandas`` pass that emits one
-pickled partial vector per partition and reduces them on the driver, and
+``aggregate_partitions`` runs one ``mapInArrow`` pass that hands each Arrow
+batch to a batch function as a ``pyarrow.RecordBatch`` (the trainers read it
+with ``repro.core.relational.features``/``column``, so no pandas frame is
+built), emits one pickled partial vector per partition and reduces them on
+the driver, and
 ``fit`` is the loop itself, shared by all six M/S/F trainers: each supplies
 only a ``step`` that makes one pass and returns the tracked metric and the
 updated parameters.
@@ -27,7 +30,7 @@ import time
 from typing import Callable, Iterator
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql.types import BinaryType, StructField, StructType
 
@@ -85,28 +88,28 @@ _SCHEMA = StructType([StructField("stats", BinaryType(), False)])
 
 def aggregate_partitions(
     df: DataFrame,
-    batch_fn: Callable[[pd.DataFrame], np.ndarray],
+    batch_fn: Callable[[pa.RecordBatch], np.ndarray],
     size: int,
 ) -> np.ndarray:
     """Sum ``batch_fn(arrow_batch)`` over all partitions of ``df``.
 
-    ``batch_fn`` maps a pandas batch to a flat float64 vector of length
-    ``size`` (build it with ``StatLayout.pack``). Each task accumulates its
-    batches locally and emits a single pickled row; the driver unpickles and
-    sums. Returns the zero vector for an empty DataFrame.
+    ``batch_fn`` maps a ``pyarrow.RecordBatch`` to a flat float64 vector of
+    length ``size`` (build it with ``StatLayout.pack``). Each task accumulates
+    its batches locally and emits a single pickled row; the driver unpickles
+    and sums. Returns the zero vector for an empty DataFrame.
     """
 
-    def mapper(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def mapper(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         acc: np.ndarray | None = None
-        for pdf in batches:
-            if len(pdf) == 0:
+        for batch in batches:
+            if batch.num_rows == 0:
                 continue
-            v = batch_fn(pdf)
+            v = batch_fn(batch)
             acc = v if acc is None else acc + v
         if acc is not None:
-            yield pd.DataFrame({"stats": [pickle.dumps(acc, protocol=4)]})
+            yield pa.RecordBatch.from_pydict({"stats": [pickle.dumps(acc, protocol=4)]})
 
-    rows = df.mapInPandas(mapper, schema=_SCHEMA).collect()
+    rows = df.mapInArrow(mapper, schema=_SCHEMA).collect()
     total = np.zeros(size)
     for row in rows:
         total += pickle.loads(row["stats"])

@@ -5,7 +5,7 @@ NumPy matrices and broadcast to the executors; every EM iteration then:
 
 1. (driver) derives the per-R-tuple reusable terms of Eq. 7-12 / 19-21 —
    each computed **once per R tuple** per iteration;
-2. (one ``mapInPandas`` pass over only the fact table S) evaluates the E-step
+2. (one ``mapInArrow`` pass over only the fact table S) evaluates the E-step
    via the factorized quadratic form and accumulates the factorized
    sufficient statistics, including the per-FK aggregates;
 3. (driver) reconstitutes the full-d moments with one small matmul per
@@ -23,8 +23,8 @@ from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.em_ref import mstep_from_moments
 from repro.core.linalg import MultiwayTerms
 from repro.core.params import GMMParams, TrainResult
-from repro.core.relational import collect_dimension_tables, s_input_cols
-from repro.data.normalized import fk_cols, infer_dims, s_feature_cols
+from repro.core.relational import collect_dimension_tables, fact_input
+from repro.data.normalized import fk_cols, infer_dims
 from repro.gmm.suffstats import (
     assemble_moments,
     factorized_layout,
@@ -47,9 +47,8 @@ def train_f_gmm(
     q = len(r_dfs)
     xrs = collect_dimension_tables(r_dfs, d_rs)
     n_rs = [xr.shape[0] for xr in xrs]
-    s_cols = s_feature_cols(d_s)
     fks = fk_cols(q)
-    s_in = s_df.select(*s_input_cols(d_s, q))
+    s_in = fact_input(s_df, d_s, q, [])
 
     layout = factorized_layout(init.k, d_s, n_rs, d_rs)
     # Ship the dimension matrices to executors once, not per iteration.
@@ -59,7 +58,7 @@ def train_f_gmm(
         payload = gmm_payload(params)
         # Per-R-tuple terms: the "compute once, reuse rr times" step.
         terms = MultiwayTerms(xrs, params.mu, payload["prec"], [d_s, *d_rs])
-        batch_fn = _make_batch_fn(payload, terms, bc_xrs, s_cols, fks, layout)
+        batch_fn = _make_batch_fn(payload, terms, bc_xrs, fks, layout)
         stats = layout.unpack(aggregate_partitions(s_in, batch_fn, layout.size))
         nk, sx, sxx, ll = assemble_moments(stats, xrs)
         return ll, mstep_from_moments(nk, sx, sxx)
@@ -70,13 +69,10 @@ def train_f_gmm(
         bc_xrs.unpersist()
 
 
-def _make_batch_fn(payload, terms, bc_xrs, s_cols, fks, layout):
+def _make_batch_fn(payload, terms, bc_xrs, fks, layout):
     """Defer the broadcast lookup to the executor side of the closure."""
 
-    def batch_fn(pdf):
-        fn = make_factorized_batch_fn(
-            payload, terms, bc_xrs.value, s_cols, fks, layout
-        )
-        return fn(pdf)
+    def batch_fn(batch):
+        return make_factorized_batch_fn(payload, terms, bc_xrs.value, fks, layout)(batch)
 
     return batch_fn

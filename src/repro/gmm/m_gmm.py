@@ -15,8 +15,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.em_ref import mstep_from_moments
 from repro.core.params import GMMParams, TrainResult
-from repro.core.relational import denormalize, joined_feature_cols
-from repro.data.normalized import infer_dims
+from repro.core.relational import joined_input
 from repro.gmm.suffstats import (
     assemble_moments,
     factorized_layout,
@@ -36,20 +35,18 @@ def train_m_gmm(
     tol: float | None = None,
 ) -> TrainResult:
     """Train a GMM via materialized denormalization (baseline M-GMM)."""
-    d_s, d_rs = infer_dims(s_df, r_dfs)
-    feat_cols = joined_feature_cols(d_s, d_rs)
     path = f"{tmpdir}/m_gmm_T.parquet"
 
     t0 = time.perf_counter()
-    denormalize(s_df, r_dfs).write.mode("overwrite").parquet(path)
+    joined_input(s_df, r_dfs, []).write.mode("overwrite").parquet(path)
     t_mat = time.perf_counter() - t0
+    # Planned once; every pass re-scans the wide Parquet, as Algorithm 1 does.
+    t_df = spark.read.parquet(path)
 
     layout = factorized_layout(init.k, init.d, [], [])
 
     def step(params):
-        # Re-read the wide materialized table every pass, as Algorithm 1 does.
-        t_df = spark.read.parquet(path).select(*feat_cols)
-        batch_fn = make_factorized_batch_fn(gmm_payload(params), None, [], feat_cols, [], layout)
+        batch_fn = make_factorized_batch_fn(gmm_payload(params), None, [], [], layout)
         stats = layout.unpack(aggregate_partitions(t_df, batch_fn, layout.size))
         nk, sx, sxx, ll = assemble_moments(stats, [])
         return ll, mstep_from_moments(nk, sx, sxx)

@@ -24,7 +24,6 @@ and ``assemble_moments(stats, [])`` only copies them out.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.core.aggregate import StatLayout, segment_sums
 from repro.core.linalg import (
@@ -35,7 +34,7 @@ from repro.core.linalg import (
     precisions_and_logdets,
 )
 from repro.core.params import GMMParams
-from repro.core.relational import fk_rows
+from repro.core.relational import features, fk_rows
 
 
 def gmm_payload(params: GMMParams) -> dict:
@@ -71,11 +70,10 @@ def make_factorized_batch_fn(
     payload: dict,
     terms: MultiwayTerms | None,
     xrs: list[np.ndarray],
-    s_cols: list[str],
     fk_names: list[str],
     layout: StatLayout,
 ):
-    """Batch of fact tuples -> flat factorized stats.
+    """Batch of fact tuples (its packed ``x`` of width ``d_S``) -> flat stats.
 
     The E-step uses the factorized quadratic form (per-R-tuple ``terms``
     precomputed once on the driver); the M-step contributions are the small
@@ -83,13 +81,13 @@ def make_factorized_batch_fn(
     wide joined row. With ``xrs = fk_names = []`` the batch is the joined rows
     themselves and ``terms`` may be ``None`` (M-GMM, S-GMM).
     """
-    k = payload["mu"].shape[0]
+    k, d_s = layout.shapes["a"]
     q = len(xrs)
     n_rs = [xr.shape[0] for xr in xrs]
 
-    def batch_fn(pdf: pd.DataFrame) -> np.ndarray:
-        xs = pdf[s_cols].to_numpy(dtype=np.float64)
-        fk_idx = fk_rows(pdf, fk_names, n_rs)
+    def batch_fn(batch) -> np.ndarray:
+        xs = features(batch, d_s)
+        fk_idx = fk_rows(batch, fk_names, n_rs)
         quad = factorized_quadratic_multiway(
             xs, fk_idx, payload["mu"], payload["prec"], terms
         )

@@ -2,7 +2,7 @@
 
 The contribution of Section VI: never join. Per epoch, the driver computes
 the per-R-tuple layer-1 partial pre-activations ``T2_t = x_Rt W_Rt^T`` once
-(nR rows of work); one ``mapInPandas`` pass over only the fact table S then
+(nR rows of work); one ``mapInArrow`` pass over only the fact table S then
 runs the factorized forward pass (FK lookups into the broadcast T2 matrices)
 and accumulates the factorized gradient statistics — including the per-FK
 delta sums from which the driver finishes ``PG_Rt = d_t^T x_Rt`` (Eq. 29/32),
@@ -13,14 +13,13 @@ saving).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.nn_ref import ACTIVATIONS, apply_gradients
 from repro.core.params import NNParams, TrainResult
-from repro.core.relational import collect_dimension_tables, fk_rows, s_input_cols
-from repro.data.normalized import fk_cols, infer_dims, s_feature_cols
+from repro.core.relational import collect_dimension_tables, column, fact_input, features, fk_rows
+from repro.data.normalized import fk_cols, infer_dims
 from repro.nn.model import (
     factorized_grad_layout,
     factorized_grad_stats,
@@ -45,9 +44,8 @@ def train_f_nn(
     q = len(r_dfs)
     xrs = collect_dimension_tables(r_dfs, d_rs)
     n_rs = [xr.shape[0] for xr in xrs]
-    s_cols = s_feature_cols(d_s)
     fks = fk_cols(q)
-    s_in = s_df.select(*s_input_cols(d_s, q, extra_cols=["y"]))
+    s_in = fact_input(s_df, d_s, q, ["y"])
 
     layout = factorized_grad_layout(init.nh, d_s, n_rs)
     act = ACTIVATIONS[activation]
@@ -56,7 +54,7 @@ def train_f_nn(
         # Once per epoch, once per R tuple: the reused layer-1 partials.
         t2s = reuse_terms(p, xrs, d_s)
         w1s, _ = split_w1(p.w1, d_s, d_rs)
-        batch_fn = _make_batch_fn(p, w1s, t2s, act, s_cols, fks, layout)
+        batch_fn = _make_batch_fn(p, w1s, t2s, act, fks, layout)
         flat = aggregate_partitions(s_in, batch_fn, layout.size)
         grads, loss = finalize_factorized(layout.unpack(flat), xrs)
         return loss, apply_gradients(p, grads, lr)
@@ -64,11 +62,11 @@ def train_f_nn(
     return fit(init, step, epochs)
 
 
-def _make_batch_fn(p: NNParams, w1s, t2s, act, s_cols, fks, layout):
-    def batch_fn(pdf: pd.DataFrame) -> np.ndarray:
-        xs = pdf[s_cols].to_numpy(dtype=np.float64)
-        y = pdf["y"].to_numpy(dtype=np.float64)
-        fk_idx = fk_rows(pdf, fks, [t2.shape[0] for t2 in t2s])
+def _make_batch_fn(p: NNParams, w1s, t2s, act, fks, layout):
+    def batch_fn(batch) -> np.ndarray:
+        xs = features(batch, w1s.shape[1])
+        y = column(batch, "y", np.float64)
+        fk_idx = fk_rows(batch, fks, [t2.shape[0] for t2 in t2s])
         return layout.pack(factorized_grad_stats(xs, fk_idx, y, p, w1s, t2s, act))
 
     return batch_fn

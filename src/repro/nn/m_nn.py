@@ -10,23 +10,21 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.nn_ref import ACTIVATIONS, apply_gradients
 from repro.core.params import NNParams, TrainResult
-from repro.core.relational import denormalize, joined_feature_cols
-from repro.data.normalized import infer_dims
+from repro.core.relational import column, features, joined_input
 from repro.nn.model import dense_grad_stats, factorized_grad_layout, finalize_factorized
 
 
-def _dense_batch_fn(p: NNParams, act_name: str, feat_cols, layout):
+def _dense_batch_fn(p: NNParams, act_name: str, layout):
     act = ACTIVATIONS[act_name]
 
-    def batch_fn(pdf: pd.DataFrame) -> np.ndarray:
-        x = pdf[feat_cols].to_numpy(dtype=np.float64)
-        y = pdf["y"].to_numpy(dtype=np.float64)
+    def batch_fn(batch) -> np.ndarray:
+        x = features(batch, p.d)
+        y = column(batch, "y", np.float64)
         return layout.pack(dense_grad_stats(x, y, p, act))
 
     return batch_fn
@@ -44,19 +42,18 @@ def train_m_nn(
     tmpdir: str,
 ) -> TrainResult:
     """Train the 1-hidden-layer network over a materialized join (M-NN)."""
-    d_s, d_rs = infer_dims(s_df, r_dfs)
-    feat_cols = joined_feature_cols(d_s, d_rs)
     path = f"{tmpdir}/m_nn_T.parquet"
 
     t0 = time.perf_counter()
-    denormalize(s_df, r_dfs, extra_cols=["y"]).write.mode("overwrite").parquet(path)
+    joined_input(s_df, r_dfs, ["y"]).write.mode("overwrite").parquet(path)
     t_mat = time.perf_counter() - t0
+    # Planned once; every epoch re-scans the wide Parquet.
+    t_df = spark.read.parquet(path)
 
     layout = factorized_grad_layout(init.nh, init.d, [])
 
     def step(p):
-        t_df = spark.read.parquet(path).select("y", *feat_cols)
-        batch_fn = _dense_batch_fn(p, activation, feat_cols, layout)
+        batch_fn = _dense_batch_fn(p, activation, layout)
         flat = aggregate_partitions(t_df, batch_fn, layout.size)
         grads, loss = finalize_factorized(layout.unpack(flat), [])
         return loss, apply_gradients(p, grads, lr)

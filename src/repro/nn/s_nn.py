@@ -1,9 +1,10 @@
 """S-NN: recompute the join on the fly every epoch, unfactorized math per tuple.
 
 Second baseline of Section VI: no materialization; each epoch re-executes the
-Catalyst shuffle join (fresh plan per epoch, so nothing is reused) and runs
-the unfactorized forward/backward over the wide joined rows: F-NN's kernel
-with no attribute table (q = 0), as in M-NN.
+Catalyst shuffle join and runs the unfactorized forward/backward over the
+wide joined rows: F-NN's kernel with no attribute table (q = 0), as in M-NN.
+The join is planned once per training and cached nowhere, so every epoch's
+action runs both shuffle sides again.
 """
 from __future__ import annotations
 
@@ -12,8 +13,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.aggregate import aggregate_partitions, fit
 from repro.core.nn_ref import apply_gradients
 from repro.core.params import NNParams, TrainResult
-from repro.core.relational import denormalize, joined_feature_cols
-from repro.data.normalized import infer_dims
+from repro.core.relational import joined_input
 from repro.nn.m_nn import _dense_batch_fn
 from repro.nn.model import factorized_grad_layout, finalize_factorized
 
@@ -29,14 +29,11 @@ def train_s_nn(
     activation: str = "sigmoid",
 ) -> TrainResult:
     """Train the network with the join streamed per epoch (S-NN)."""
-    d_s, d_rs = infer_dims(s_df, r_dfs)
-    feat_cols = joined_feature_cols(d_s, d_rs)
-
+    t_df = joined_input(s_df, r_dfs, ["y"])
     layout = factorized_grad_layout(init.nh, init.d, [])
 
     def step(p):
-        t_df = denormalize(s_df, r_dfs, extra_cols=["y"]).select("y", *feat_cols)
-        batch_fn = _dense_batch_fn(p, activation, feat_cols, layout)
+        batch_fn = _dense_batch_fn(p, activation, layout)
         flat = aggregate_partitions(t_df, batch_fn, layout.size)
         grads, loss = finalize_factorized(layout.unpack(flat), [])
         return loss, apply_gradients(p, grads, lr)

@@ -1,5 +1,5 @@
-"""The mapInPandas flat-statistics aggregation layer and the shared training
-loop ``fit`` (core/aggregate.py)."""
+"""The mapInArrow flat-statistics aggregation layer and the shared training
+loop ``fit`` (core/aggregate.py). Batch functions receive Arrow record batches."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -17,9 +17,13 @@ def df(spark):
 def test_sum_across_partitions(spark, df):
     layout = StatLayout({"sum_a": (), "sum_b": (), "count": ()})
 
-    def batch_fn(pdf):
+    def batch_fn(b):
         return layout.pack(
-            {"sum_a": pdf["a"].sum(), "sum_b": pdf["b"].sum(), "count": float(len(pdf))}
+            {
+                "sum_a": np.asarray(b["a"]).sum(),
+                "sum_b": np.asarray(b["b"]).sum(),
+                "count": float(b.num_rows),
+            }
         )
 
     out = layout.unpack(aggregate_partitions(df, batch_fn, layout.size))
@@ -31,8 +35,8 @@ def test_sum_across_partitions(spark, df):
 def test_vector_stats_match_local(spark, df):
     layout = StatLayout({"m": (2, 2)})
 
-    def batch_fn(pdf):
-        x = pdf[["a", "b"]].to_numpy()
+    def batch_fn(b):
+        x = np.column_stack([np.asarray(b["a"]), np.asarray(b["b"])])
         return layout.pack({"m": x.T @ x})
 
     out = layout.unpack(aggregate_partitions(df, batch_fn, layout.size))
@@ -45,7 +49,9 @@ def test_empty_dataframe_returns_zeros(spark):
     pdf = pd.DataFrame({"a": np.array([], dtype=np.float64)})
     empty = spark.createDataFrame(pdf, schema="a double")
     layout = StatLayout({"s": ()})
-    out = aggregate_partitions(empty, lambda p: layout.pack({"s": p["a"].sum()}), layout.size)
+    out = aggregate_partitions(
+        empty, lambda b: layout.pack({"s": np.asarray(b["a"]).sum()}), layout.size
+    )
     np.testing.assert_array_equal(out, [0.0])
 
 
@@ -54,8 +60,9 @@ def test_partitioning_invariance(spark):
     pdf = pd.DataFrame({"a": np.random.default_rng(0).normal(size=500)})
     layout = StatLayout({"s": (), "ss": ()})
 
-    def batch_fn(p):
-        return layout.pack({"s": p["a"].sum(), "ss": (p["a"] ** 2).sum()})
+    def batch_fn(b):
+        a = np.asarray(b["a"])
+        return layout.pack({"s": a.sum(), "ss": (a**2).sum()})
 
     outs = []
     for nparts in (1, 3, 16):

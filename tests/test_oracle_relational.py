@@ -14,9 +14,9 @@ from repro.bench.harness import make_init, train
 from repro.core.relational import (
     collect_dimension_tables,
     denormalize,
+    fact_input,
     fk_rows,
     joined_feature_cols,
-    s_input_cols,
 )
 from repro.data.normalized import infer_dims, multiway_relations_pdf
 from repro.oracle import assert_equivalent
@@ -176,7 +176,12 @@ def test_trainers_reject_bare_r_frame(spark, binary, tmp_path, model, algo):
         sc.setLocalProperty("spark.jobGroup.id", None)
 
 
-def test_s_input_cols_excludes_r_features():
-    cols = s_input_cols(2, 2, extra_cols=["y"])
-    assert cols == ["y", "xs_0", "xs_1", "fk_1", "fk_2"]
-    assert not any(c.startswith("xr") for c in cols)
+def test_fact_input_excludes_r_features(spark):
+    """F's pass input is S(y, x = [xs_0, xs_1], fk_1, fk_2): no x_R, no join."""
+    s_pdf, _ = multiway_relations_pdf(
+        n_s=50, n_rs=[4, 3], d_s=2, d_rs=[2, 1], seed=0, target=True
+    )
+    s_in = fact_input(spark.createDataFrame(s_pdf), 2, 2, ["y"])
+    assert s_in.columns == ["y", "x", "fk_1", "fk_2"]
+    rows = s_in.toPandas()
+    np.testing.assert_array_equal(np.stack(rows["x"]), s_pdf[["xs_0", "xs_1"]].to_numpy())
