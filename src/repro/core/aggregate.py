@@ -25,8 +25,10 @@ aggregation path is still exercised — and oracle-checked — by the per-FK
 """
 from __future__ import annotations
 
+import os
 import pickle
 import time
+import zipimport
 from typing import Callable, Iterator
 
 import numpy as np
@@ -84,6 +86,40 @@ def segment_sums(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 
 _SCHEMA = StructType([StructField("stats", BinaryType(), False)])
+_STAT_CHECKED = "_repro_stat_checked"  # class marker: the hook below is installed
+
+
+def _reread_changed_zips_only() -> None:
+    """Make ``zipimporter.invalidate_caches`` skip archives that have not changed.
+
+    PySpark's Python worker calls ``importlib.invalidate_caches()`` before every
+    task, reused workers included, and each cached ``zipimporter`` then re-reads
+    its archive's whole central directory (1,328 entries in PySpark 4.1's
+    ``pyspark.zip``); a worker holds one importer per imported sub-package of
+    the zip. The replacement re-reads only when the archive's
+    ``(st_mtime_ns, st_size, st_ino)`` differs from the last read by that
+    importer, so new paths and changed archives are still seen. It falls back
+    to the original re-read when ``os.stat`` fails or the importer has no stamp
+    yet. Runs in the worker process, once: the marker on the class makes a
+    second call a no-op.
+    """
+    cls = zipimport.zipimporter
+    if getattr(cls, _STAT_CHECKED, False):
+        return
+    reread = cls.invalidate_caches
+
+    def invalidate_caches(self):
+        try:
+            st = os.stat(self.archive)
+            stamp = (st.st_mtime_ns, st.st_size, st.st_ino)
+        except OSError:
+            stamp = None
+        if stamp is None or stamp != getattr(self, "_repro_stamp", None):
+            reread(self)
+        self._repro_stamp = stamp
+
+    cls.invalidate_caches = invalidate_caches
+    setattr(cls, _STAT_CHECKED, True)
 
 
 def aggregate_partitions(
@@ -96,10 +132,12 @@ def aggregate_partitions(
     ``batch_fn`` maps a ``pyarrow.RecordBatch`` to a flat float64 vector of
     length ``size`` (build it with ``StatLayout.pack``). Each task accumulates
     its batches locally and emits a single pickled row; the driver unpickles
-    and sums. Returns the zero vector for an empty DataFrame.
+    and sums. Returns the zero vector for an empty DataFrame. Each task first
+    installs ``_reread_changed_zips_only`` in its worker process.
     """
 
     def mapper(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        _reread_changed_zips_only()
         acc: np.ndarray | None = None
         for batch in batches:
             if batch.num_rows == 0:
@@ -129,15 +167,20 @@ def fit(
     ``step(params) -> (metric, next_params)``; ``metric`` is evaluated at
     ``params`` (GMM: log-likelihood; NN: training loss) and appended to the
     history. With ``tol`` set, the loop stops after the first pass whose
-    metric moved by less than ``tol`` from the previous one (Eq. 6).
+    metric moved by less than ``tol`` from the previous one (Eq. 6). A
+    ``LinAlgError`` from ``step`` (a collapsed covariance) is re-raised with
+    the 0-based iteration in front of its message.
     ``materialize_s`` is the time the caller spent before the loop (M-*'s
     join + write) and enters ``timings["total"]``.
     """
     params = init.copy()
     history: list[float] = []
     t0 = time.perf_counter()
-    for _ in range(iters):
-        metric, params = step(params)
+    for i in range(iters):
+        try:
+            metric, params = step(params)
+        except np.linalg.LinAlgError as e:
+            raise np.linalg.LinAlgError(f"iteration {i}: {e}") from e
         converged = tol is not None and len(history) > 0 and abs(metric - history[-1]) < tol
         history.append(metric)
         if converged:

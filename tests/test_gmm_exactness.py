@@ -98,3 +98,23 @@ def test_timings_recorded(trained):
         assert results[algo].timings["materialize"] == 0.0
     for res in results.values():
         assert res.timings["total"] > 0
+
+
+def test_collapsed_covariance_names_the_iteration(spark, tmp_path):
+    """M, S and F stop on a singular covariance with one message naming the
+    iteration and the component, raised on the driver before any pass."""
+    s_pdf, r_pdfs = multiway_relations_pdf(n_s=200, n_rs=[10], d_s=2, d_rs=[2], seed=0)
+    init = init_gmm(4, 3, 0)
+    init.sigma[1] = 0.0
+    s_df, r_dfs = spark.createDataFrame(s_pdf), [spark.createDataFrame(r) for r in r_pdfs]
+    trainers = {
+        "M": lambda: train_m_gmm(spark, s_df, r_dfs, init=init, iters=2, tmpdir=str(tmp_path)),
+        "S": lambda: train_s_gmm(spark, s_df, r_dfs, init=init, iters=2),
+        "F": lambda: train_f_gmm(spark, s_df, r_dfs, init=init, iters=2),
+    }
+    messages = set()
+    for train in trainers.values():
+        with pytest.raises(np.linalg.LinAlgError, match="^iteration 0: component 1: ") as e:
+            train()
+        messages.add(str(e.value))
+    assert messages == {"iteration 0: component 1: covariance not positive definite"}
