@@ -2,15 +2,16 @@
 
 For each dataset the harness: creates the Spark relations (cached and
 counted *before* timing, so data generation is excluded), runs each of
-M / S / F, takes the wall-clock from the trainer's own ``timings["total"]``,
-and sanity-checks that all algorithms agreed on the final model (the paper's
-exactness property) — a benchmark that silently diverged would be measuring
-different work.
+M / S / F, times each whole call from outside (setup, passes and updates,
+the span perfbench's ``Call.seconds`` measures), and sanity-checks that all
+algorithms agreed on the final model (the paper's exactness property) — a
+benchmark that silently diverged would be measuring different work.
 """
 from __future__ import annotations
 
 import shutil
 import tempfile
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,6 @@ class Row:
     dataset: str
     algo: str
     seconds: float
-    materialize_s: float
-    final_metric: float  # GMM: loglik; NN: training loss
 
 
 def prepare_relations(spark: SparkSession, s_pdf: pd.DataFrame, r_pdfs: list[pd.DataFrame]):
@@ -95,27 +94,21 @@ def run_matrix(
     s_df, r_dfs = prepare_relations(spark, s_pdf, r_pdfs)
     init = make_init(model, d_s + sum(d_rs), size)
     tmpdir = tempfile.mkdtemp(prefix="repro_bench_")
+    results, seconds = {}, {}
     try:
-        results = {
-            algo: train(model, algo, spark, s_df, r_dfs, init=init, iters=iters, tmpdir=tmpdir)
-            for algo in ALGOS
-        }
+        for algo in ALGOS:
+            t0 = time.perf_counter()
+            results[algo] = train(
+                model, algo, spark, s_df, r_dfs, init=init, iters=iters, tmpdir=tmpdir
+            )
+            seconds[algo] = time.perf_counter() - t0
         _check_agreement(results, model, dataset_name)
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
         s_df.unpersist()
         for r in r_dfs:
             r.unpersist()
-    return [
-        Row(
-            dataset_name,
-            f"{algo}-{model}",
-            res.timings["total"],
-            res.timings["materialize"],
-            res.history[-1],
-        )
-        for algo, res in results.items()
-    ]
+    return [Row(dataset_name, f"{algo}-{model}", seconds[algo]) for algo in ALGOS]
 
 
 def _check_agreement(results: dict, model: str, dataset: str) -> None:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 import zipimport
 from typing import Callable, Iterator
 
@@ -160,7 +159,6 @@ def fit(
     iters: int,
     *,
     tol: float | None = None,
-    materialize_s: float = 0.0,
 ) -> TrainResult:
     """Run ``step`` up to ``iters`` times from a copy of ``init``.
 
@@ -170,12 +168,9 @@ def fit(
     metric moved by less than ``tol`` from the previous one (Eq. 6). A
     ``LinAlgError`` from ``step`` (a collapsed covariance) is re-raised with
     the 0-based iteration in front of its message.
-    ``materialize_s`` is the time the caller spent before the loop (M-*'s
-    join + write) and enters ``timings["total"]``.
     """
     params = init.copy()
     history: list[float] = []
-    t0 = time.perf_counter()
     for i in range(iters):
         try:
             metric, params = step(params)
@@ -185,13 +180,4 @@ def fit(
         history.append(metric)
         if converged:
             break
-    t_train = time.perf_counter() - t0
-    return TrainResult(
-        params=params,
-        history=history,
-        timings={
-            "materialize": materialize_s,
-            "train": t_train,
-            "total": materialize_s + t_train,
-        },
-    )
+    return TrainResult(params=params, history=history)

@@ -47,9 +47,13 @@ def mstep_from_moments(
 
     ``reg_covar`` adds a small ridge to the covariance diagonal — standard
     practice to keep Cholesky factorizable when a component collapses.
+    Zero total weight (no rows) raises a ``ValueError``.
     """
+    n = nk.sum()  # Eq. 5: N = sum_k N_k
+    if n == 0:
+        raise ValueError("no rows to train on: the fact table (or its join) is empty")
     k, d = sx.shape
-    pi = nk / nk.sum()  # Eq. 5: N = sum_k N_k
+    pi = nk / n
     mu = sx / nk[:, None]
     sigma = sxx / nk[:, None, None] - np.einsum("kd,ke->kde", mu, mu)
     sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))

@@ -95,11 +95,9 @@ class TrainResult:
     """Uniform result record returned by every trainer.
 
     ``params`` is the final model, ``history`` the per-iteration scalar being
-    tracked (GMM: log-likelihood; NN: training loss), ``timings`` a dict of
-    phase -> seconds used by the benchmark harness (``materialize`` for M-*,
-    ``train`` for the iteration loop, ``total``).
+    tracked (GMM: log-likelihood; NN: training loss). A trainer keeps no
+    clock: callers time the whole call from outside.
     """
 
     params: object
     history: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)

@@ -8,8 +8,6 @@ the unfactorized form: F-GMM's kernel with no attribute table (q = 0) on ``T``.
 """
 from __future__ import annotations
 
-import time
-
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.aggregate import aggregate_partitions, fit
@@ -36,10 +34,7 @@ def train_m_gmm(
 ) -> TrainResult:
     """Train a GMM via materialized denormalization (baseline M-GMM)."""
     path = f"{tmpdir}/m_gmm_T.parquet"
-
-    t0 = time.perf_counter()
     joined_input(s_df, r_dfs, []).write.mode("overwrite").parquet(path)
-    t_mat = time.perf_counter() - t0
     # Planned once; every pass re-scans the wide Parquet, as Algorithm 1 does.
     t_df = spark.read.parquet(path)
 
@@ -51,4 +46,4 @@ def train_m_gmm(
         nk, sx, sxx, ll = assemble_moments(stats, [])
         return ll, mstep_from_moments(nk, sx, sxx)
 
-    return fit(init, step, iters, tol=tol, materialize_s=t_mat)
+    return fit(init, step, iters, tol=tol)

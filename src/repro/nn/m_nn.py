@@ -7,8 +7,6 @@ full-batch gradients (Eq. 28 before decomposition) with F-NN's kernel over
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
@@ -43,10 +41,7 @@ def train_m_nn(
 ) -> TrainResult:
     """Train the 1-hidden-layer network over a materialized join (M-NN)."""
     path = f"{tmpdir}/m_nn_T.parquet"
-
-    t0 = time.perf_counter()
     joined_input(s_df, r_dfs, ["y"]).write.mode("overwrite").parquet(path)
-    t_mat = time.perf_counter() - t0
     # Planned once; every epoch re-scans the wide Parquet.
     t_df = spark.read.parquet(path)
 
@@ -58,4 +53,4 @@ def train_m_nn(
         grads, loss = finalize_factorized(layout.unpack(flat), [])
         return loss, apply_gradients(p, grads, lr)
 
-    return fit(init, step, epochs, materialize_s=t_mat)
+    return fit(init, step, epochs)

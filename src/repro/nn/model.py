@@ -114,8 +114,13 @@ def dense_grad_stats(
 def finalize_factorized(
     stats: dict[str, np.ndarray], xrs: list[np.ndarray]
 ) -> tuple[dict[str, np.ndarray], float]:
-    """(grads, loss) from factorized raw sums; completes PG_Rt (Eq. 29/32)."""
+    """(grads, loss) from factorized raw sums; completes PG_Rt (Eq. 29/32).
+
+    Raises a ``ValueError`` when the sums cover no rows.
+    """
     n = float(stats["n"])
+    if n == 0:
+        raise ValueError("no rows to train on: the fact table (or its join) is empty")
     blocks = [stats["w1s"]]
     for t, xr in enumerate(xrs, start=1):
         blocks.append(stats[f"d{t}"].T @ xr)  # PG_Rt: each R tuple enters once

@@ -209,16 +209,7 @@ def test_fit_names_the_iteration_of_a_linalg_error():
 
 def test_fit_zero_iters_returns_copy_of_init():
     init = init_nn(2, 3, 0)
-    res = fit(init, _counting_step([]), 0, tol=1.0, materialize_s=0.25)
+    res = fit(init, _counting_step([]), 0, tol=1.0)
     assert res.history == []
     assert res.params is not init and res.params.w1 is not init.w1
     np.testing.assert_array_equal(res.params.w1, init.w1)
-    assert res.timings["materialize"] == 0.25
-
-
-def test_fit_timings_add_up():
-    res = fit(init_nn(2, 3, 0), _counting_step([1.0, 2.0]), 2, materialize_s=1.5)
-    t = res.timings
-    assert t["materialize"] == 1.5
-    assert t["train"] > 0
-    assert t["total"] == t["materialize"] + t["train"]

@@ -91,15 +91,6 @@ def test_loglik_monotone_on_spark_trainers(trained):
         assert np.all(np.diff(h) >= -1e-6 * np.abs(h[:-1]))
 
 
-def test_timings_recorded(trained):
-    _, _, results = trained
-    assert results["M"].timings["materialize"] > 0
-    for algo in ("S", "F"):
-        assert results[algo].timings["materialize"] == 0.0
-    for res in results.values():
-        assert res.timings["total"] > 0
-
-
 def test_collapsed_covariance_names_the_iteration(spark, tmp_path):
     """M, S and F stop on a singular covariance with one message naming the
     iteration and the component, raised on the driver before any pass."""

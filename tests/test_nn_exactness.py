@@ -80,9 +80,3 @@ def test_loss_decreases(trained):
     _, _, results = trained
     for res in results.values():
         assert res.history[-1] < res.history[0]
-
-
-def test_timings_recorded(trained):
-    _, _, results = trained
-    assert results["M"].timings["materialize"] > 0
-    assert results["F"].timings["materialize"] == 0.0
