@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.linalg import dense_quadratic, log_responsibilities, precisions_and_logdets
-from repro.core.params import GMMParams, TrainResult
+from repro.core.params import NO_ROWS, GMMParams, TrainResult
 
 
 def dense_suffstats(
@@ -51,7 +51,7 @@ def mstep_from_moments(
     """
     n = nk.sum()  # Eq. 5: N = sum_k N_k
     if n == 0:
-        raise ValueError("no rows to train on: the fact table (or its join) is empty")
+        raise ValueError(NO_ROWS)
     k, d = sx.shape
     pi = nk / n
     mu = sx / nk[:, None]

@@ -93,11 +93,14 @@ class MultiwayTerms:
     For each table ``i`` in ``1..q`` (S is table 0) precomputes, per R_i tuple
     and component:
 
-    * ``pd[i][r, k, :]``  = ``x_Ri[r] - mu_Ri[k]`` (Eq. 20, computed once);
-    * ``c[i][r, k]``      = ``PD_i^T I_ii PD_i`` (reused diagonal term);
+    * ``c[i][r, k]``      = ``PD_i^T I_ii PD_i`` (reused diagonal term), with
+      ``PD_i[r, k, :] = x_Ri[r] - mu_Ri[k]`` (Eq. 20, computed once);
     * ``w0[i][r, k, :]``  = ``I_0i PD_i`` (dS-vector for the S-cross term);
     * ``u[(i, j)][r, k, :]`` = ``I_ij PD_j[r]`` for i < j (dRi-vector), so the
-      Ri-Rj cross term per S tuple is a dRi dot product of two table lookups.
+      Ri-Rj cross term per S tuple is a dRi dot product of two table lookups;
+    * ``pd[i]`` = ``PD_i`` for ``i`` in ``1..q-1`` only, the left side of a
+      cross term. The last table's ``PD_q`` is only read to build ``u``, so it
+      is not kept (the terms are shipped to every task with each pass).
     """
 
     def __init__(
@@ -111,7 +114,7 @@ class MultiwayTerms:
         off = block_offsets(dims)
         k = mu.shape[0]
         q = len(xrs)
-        self.pd: list[np.ndarray] = []
+        pds: list[np.ndarray] = []
         self.c: list[np.ndarray] = []
         self.w0: list[np.ndarray] = []
         self.u: dict[tuple[int, int], np.ndarray] = {}
@@ -129,7 +132,7 @@ class MultiwayTerms:
                 pd[:, i, :] = pdi
                 c[:, i] = np.einsum("nd,nd->n", pdi @ i_tt, pdi)
                 w0[:, i, :] = pdi @ i_0t.T
-            self.pd.append(pd)
+            pds.append(pd)
             self.c.append(c)
             self.w0.append(w0)
         for a in range(1, q + 1):
@@ -140,8 +143,9 @@ class MultiwayTerms:
                 u = np.empty((n_rb, k, d_ra))
                 for i in range(k):
                     i_ab = prec[i, off[a] : off[a + 1], off[b] : off[b + 1]]
-                    u[:, i, :] = self.pd[b - 1][:, i, :] @ i_ab.T
+                    u[:, i, :] = pds[b - 1][:, i, :] @ i_ab.T
                 self.u[(a, b)] = u
+        self.pd = pds[:-1]
 
 
 def factorized_quadratic_multiway(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.params import NNParams, TrainResult
+from repro.core.params import NO_ROWS, NNParams, TrainResult
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,10 @@ def dense_gradients(
 
     The quantity M-NN and S-NN compute per epoch (with F-NN's kernel at
     q = 0): ``dE/dW1 = delta^T X`` touches the entire N x d matrix (Eq. 28
-    before decomposition).
+    before decomposition). An empty ``x`` raises the ``NO_ROWS`` error.
     """
+    if x.shape[0] == 0:
+        raise ValueError(NO_ROWS)
     h, o = forward(x, p, act)
     ell = loss(o, y)
     dout = output_delta(o, y)

@@ -10,6 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The one error every trainer, reference and Spark alike, raises for empty input.
+NO_ROWS = "no rows to train on: the fact table (or its join) is empty"
+
 
 @dataclass
 class GMMParams:

@@ -21,6 +21,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.params import NO_ROWS
 from repro.data.normalized import fk_cols, infer_dims, r_feature_cols, s_feature_cols
 
 X = "x"  # the packed feature column of every pass input
@@ -109,12 +110,16 @@ def collect_dimension_tables(r_dfs: list[DataFrame], d_rs: list[int]) -> list[np
     resolve the FK by array indexing instead of a join. Raises ``ValueError``
     naming the table otherwise, since indexing by ``fk - 1`` would then read
     the wrong R rows, and for a NULL feature, which M-* and S-* reject in
-    ``features`` (a NaN value is not NULL and passes through).
+    ``features`` (a NaN value is not NULL and passes through). An empty R_i
+    raises the ``NO_ROWS`` error M-* and S-* raise for their then empty join,
+    here on the driver before any pass.
     """
     out = []
     for t, (r, d_r) in enumerate(zip(r_dfs, d_rs), start=1):
         cols = r_feature_cols(d_r, t)
         tbl = r.toArrow().sort_by("rid")
+        if len(tbl) == 0:  # no fact tuple joins: M's and S's join is empty too
+            raise ValueError(NO_ROWS)
         if not np.array_equal(tbl["rid"].to_numpy(), np.arange(1, len(tbl) + 1)):
             raise ValueError(f"R{t}: rid must be the contiguous range 1..{len(tbl)}")
         for c in cols:
@@ -142,3 +147,15 @@ def fk_rows(batch, fk_names: list[str], n_rs: list[int]) -> list[np.ndarray]:
             raise ValueError(f"{name}={bad[0] + 1} has no R tuple: FKs must lie in 1..{n_r}")
         rows.append(idx)
     return rows
+
+
+def distinct_rows(fk_idx: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each FK row vector of a batch as its distinct R rows and positions.
+
+    Returns ``(uniq, pos)``, one array each per attribute table, with
+    ``idx == uniq[pos]``. An F batch sums its per-FK terms over the
+    ``len(uniq)`` rows it references, which the batch size bounds, instead of
+    over all nR rows of the table.
+    """
+    pairs = [np.unique(idx, return_inverse=True) for idx in fk_idx]
+    return [u for u, _ in pairs], [pos for _, pos in pairs]

@@ -14,7 +14,10 @@ the scanned relation are
 
 ``assemble_moments`` then reconstitutes the full-d raw moments with one small
 matmul per block against the dimension tables' feature matrices — each R tuple
-participates exactly once, which is precisely the factorization's saving.
+participates once, which is precisely the factorization's saving. Where that
+finishing runs is F's choice of return form (``factorized_return``): in each
+batch, over the R rows the batch references, when the full-d moments are the
+smaller vector, else once per pass on the driver.
 
 F-GMM scans S with q attribute tables. M-GMM and S-GMM scan the joined ``T``
 as a fact table with no attribute table (q = 0): then ``x_S`` is the whole
@@ -34,7 +37,7 @@ from repro.core.linalg import (
     precisions_and_logdets,
 )
 from repro.core.params import GMMParams
-from repro.core.relational import features, fk_rows
+from repro.core.relational import distinct_rows, features, fk_rows
 
 
 def gmm_payload(params: GMMParams) -> dict:
@@ -66,6 +69,28 @@ def factorized_layout(k: int, d_s: int, n_rs: list[int], d_rs: list[int]) -> Sta
     return StatLayout(shapes)
 
 
+def factorized_return(
+    k: int, d_s: int, xrs: list[np.ndarray]
+) -> tuple[StatLayout, list[np.ndarray]]:
+    """The vector each F-GMM task returns, and the R matrices the driver
+    finishes it against.
+
+    Of the two forms, the smaller one: the full-d moments, ``K(1+d+d^2)+1``
+    floats as M and S return, which each batch finishes over the R rows it
+    references (the driver then finishes against ``[]``); or the per-R-tuple
+    sums ``g_t, h_t, c_ab`` of the module docstring,
+    ``K(1+dS+dS^2)+1 + K sum_t nRt(1+dS) + K sum_{a<b} nRa dRb`` floats,
+    which the driver finishes against all of ``xrs`` once per pass. Finishing
+    in a batch costs ``K nu (dS dR + dR^2)`` per table for its ``nu`` distinct
+    FKs, so narrow R tables with many tuples return moments and wide R tables
+    with few tuples return sums.
+    """
+    d_rs = [xr.shape[1] for xr in xrs]
+    moments = factorized_layout(k, d_s + sum(d_rs), [], [])
+    sums = factorized_layout(k, d_s, [xr.shape[0] for xr in xrs], d_rs)
+    return (moments, []) if moments.size <= sums.size else (sums, xrs)
+
+
 def make_factorized_batch_fn(
     payload: dict,
     terms: MultiwayTerms | None,
@@ -78,12 +103,17 @@ def make_factorized_batch_fn(
     The E-step uses the factorized quadratic form (per-R-tuple ``terms``
     precomputed once on the driver); the M-step contributions are the small
     per-FK aggregates described in the module docstring; F-GMM never forms a
-    wide joined row. With ``xrs = fk_names = []`` the batch is the joined rows
-    themselves and ``terms`` may be ``None`` (M-GMM, S-GMM).
+    wide joined row. When ``layout`` holds full-d moments (``factorized_return``),
+    the batch takes those aggregates over its own distinct FKs and finishes
+    them with ``assemble_moments`` against those R rows, so its work is
+    bounded by its size, not by nR. With ``xrs = fk_names = []`` the batch is
+    the joined rows themselves and ``terms`` may be ``None`` (M-GMM, S-GMM).
     """
-    k, d_s = layout.shapes["a"]
+    k, d_out = layout.shapes["a"]
     q = len(xrs)
+    d_s = payload["d"] - sum(xr.shape[1] for xr in xrs)
     n_rs = [xr.shape[0] for xr in xrs]
+    finish = d_out > d_s  # the layout holds full-d moments
 
     def batch_fn(batch) -> np.ndarray:
         xs = features(batch, d_s)
@@ -94,18 +124,24 @@ def make_factorized_batch_fn(
         gamma, ll = log_responsibilities(
             quad, payload["pi"], payload["logdet"], payload["d"]
         )
+        if finish:
+            uniq, rows = distinct_rows(fk_idx)
+            xrs_b = [xr[u] for xr, u in zip(xrs, uniq)]  # the R rows this batch references
+        else:
+            rows, xrs_b = fk_idx, xrs
         stats: dict[str, np.ndarray] = {
             "nk": gamma.sum(axis=0),
             "a": gamma.T @ xs,
             "ll": ll.sum(),
         }
-        b = np.empty((k, xs.shape[1], xs.shape[1]))
+        b = np.empty((k, d_s, d_s))
         for i in range(k):
             b[i] = xs.T @ (gamma[:, i : i + 1] * xs)
         stats["b"] = b
-        for t, (idx, n_r) in enumerate(zip(fk_idx, n_rs), start=1):
+        for t, (idx, xr) in enumerate(zip(rows, xrs_b), start=1):
+            n_r = xr.shape[0]
             g = np.empty((k, n_r))
-            h = np.empty((k, n_r, xs.shape[1]))
+            h = np.empty((k, n_r, d_s))
             for i in range(k):
                 g[i] = np.bincount(idx, weights=gamma[:, i], minlength=n_r)
                 h[i] = segment_sums(idx, gamma[:, i : i + 1] * xs, n_r)
@@ -113,11 +149,14 @@ def make_factorized_batch_fn(
             stats[f"h{t}"] = h
         for a in range(1, q + 1):
             for bt in range(a + 1, q + 1):
-                xb = xrs[bt - 1][fk_idx[bt - 1]]  # (B, dRb) gathered once
-                c = np.empty((k, n_rs[a - 1], xb.shape[1]))
+                xb = xrs_b[bt - 1][rows[bt - 1]]  # (B, dRb) gathered once
+                c = np.empty((k, xrs_b[a - 1].shape[0], xb.shape[1]))
                 for i in range(k):
-                    c[i] = segment_sums(fk_idx[a - 1], gamma[:, i : i + 1] * xb, n_rs[a - 1])
+                    c[i] = segment_sums(rows[a - 1], gamma[:, i : i + 1] * xb, c.shape[1])
                 stats[f"c{a}_{bt}"] = c
+        if finish:
+            nk, sx, sxx, ll_sum = assemble_moments(stats, xrs_b)
+            stats = {"nk": nk, "a": sx, "b": sxx, "ll": ll_sum}
         return layout.pack(stats)
 
     return batch_fn

@@ -45,12 +45,12 @@ def train_m_nn(
     # Planned once; every epoch re-scans the wide Parquet.
     t_df = spark.read.parquet(path)
 
-    layout = factorized_grad_layout(init.nh, init.d, [])
+    layout = factorized_grad_layout(init.nh, init.d)
 
     def step(p):
         batch_fn = _dense_batch_fn(p, activation, layout)
         flat = aggregate_partitions(t_df, batch_fn, layout.size)
-        grads, loss = finalize_factorized(layout.unpack(flat), [])
+        grads, loss = finalize_factorized(layout.unpack(flat))
         return loss, apply_gradients(p, grads, lr)
 
     return fit(init, step, epochs)

@@ -9,9 +9,14 @@ requires an *additive* activation and costs more ops than it saves even then
 (see ``repro.core.nn_ref.ACTIVATIONS`` and tests/test_activations.py).
 
 Backward (Section VI-A3): ``dE/dW1 = [PG_S | PG_R1 | ...]`` (Eq. 28-32);
-``PG_Rt = (per-FK sums of delta)^T x_Rt`` — an nR x nh reduction over the
+``PG_Rt = (per-FK sums of delta)^T x_Rt`` — a per-FK reduction over the
 fact table followed by one small matmul in which each R tuple enters once,
-instead of the dense ``delta^T X`` over the N x d joined matrix. The hidden
+instead of the dense ``delta^T X`` over the N x d joined matrix. F-NN does
+both per batch, over the batch's distinct FKs (``w1_sums``), so each batch
+returns the q = 0 statistics M-NN and S-NN return. That finishing is linear
+in dR, ``nh nu dRt`` for a batch's ``nu`` distinct FKs, where F-GMM's
+``x_R^T diag(g) x_R`` is quadratic, so F-NN finishes in every batch while
+F-GMM chooses (``repro.gmm.suffstats.factorized_return``). The hidden
 delta ``(o - y) w2 * f'(a)`` takes ``f'`` from the forward output ``h = f(a)``
 (``Activation.df``), so each batch evaluates the nonlinearity once.
 
@@ -30,7 +35,7 @@ import numpy as np
 from repro.core.aggregate import StatLayout, segment_sums
 from repro.core.linalg import block_offsets
 from repro.core.nn_ref import Activation
-from repro.core.params import NNParams
+from repro.core.params import NO_ROWS, NNParams
 
 
 def split_w1(w1: np.ndarray, d_s: int, d_rs: list[int]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -54,18 +59,11 @@ def reuse_terms(p: NNParams, xrs: list[np.ndarray], d_s: int) -> list[np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def factorized_grad_layout(nh: int, d_s: int, n_rs: list[int]) -> StatLayout:
-    shapes: dict[str, tuple] = {
-        "w1s": (nh, d_s),
-        "b1": (nh,),
-        "w2": (nh,),
-        "b2": (),
-        "loss": (),
-        "n": (),
-    }
-    for t, n_r in enumerate(n_rs, start=1):
-        shapes[f"d{t}"] = (n_r, nh)  # per-FK delta sums for PG_Rt
-    return StatLayout(shapes)
+def factorized_grad_layout(nh: int, d: int) -> StatLayout:
+    """The unnormalized full-d gradient sums every NN task returns."""
+    return StatLayout(
+        {"w1s": (nh, d), "b1": (nh,), "w2": (nh,), "b2": (), "loss": (), "n": ()}
+    )
 
 
 def factorized_grad_stats(
@@ -81,8 +79,9 @@ def factorized_grad_stats(
 
     Forward uses the factorized layer-1 pre-activation (T2 lookups); backward
     emits ``w1s`` directly and, for each attribute table, only the per-FK
-    delta sums ``d_t`` — the driver finishes ``PG_Rt = d_t^T x_Rt``. With no
-    attribute table (``fk_idx = t2s = []``) these are the full gradients.
+    delta sums ``d_t``, from which ``w1_sums`` finishes
+    ``PG_Rt = d_t^T x_Rt``. With no attribute table (``fk_idx = t2s = []``)
+    these are the full gradients.
     """
     a1 = xs @ w1s.T + p.b1
     for t2, idx in zip(t2s, fk_idx):
@@ -111,21 +110,28 @@ def dense_grad_stats(
     return factorized_grad_stats(x, [], y, p, p.w1, [], act)
 
 
-def finalize_factorized(
-    stats: dict[str, np.ndarray], xrs: list[np.ndarray]
-) -> tuple[dict[str, np.ndarray], float]:
-    """(grads, loss) from factorized raw sums; completes PG_Rt (Eq. 29/32).
+def w1_sums(stats: dict[str, np.ndarray], xrs: list[np.ndarray]) -> np.ndarray:
+    """Unnormalized ``dE/dW1 = [PG_S | PG_R1 | ...]`` from factorized raw sums.
+
+    Completes ``PG_Rt = d_t^T x_Rt`` (Eq. 29/32), each row of ``xrs[t-1]``
+    entering once; ``xrs`` are the R rows the per-FK sums ``d_t`` are over.
+    """
+    blocks = [stats["w1s"]]
+    for t, xr in enumerate(xrs, start=1):
+        blocks.append(stats[f"d{t}"].T @ xr)
+    return np.concatenate(blocks, axis=1)
+
+
+def finalize_factorized(stats: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray], float]:
+    """(grads, loss) from the full-d raw sums of ``factorized_grad_layout``.
 
     Raises a ``ValueError`` when the sums cover no rows.
     """
     n = float(stats["n"])
     if n == 0:
-        raise ValueError("no rows to train on: the fact table (or its join) is empty")
-    blocks = [stats["w1s"]]
-    for t, xr in enumerate(xrs, start=1):
-        blocks.append(stats[f"d{t}"].T @ xr)  # PG_Rt: each R tuple enters once
+        raise ValueError(NO_ROWS)
     grads = {
-        "w1": np.concatenate(blocks, axis=1) / n,
+        "w1": stats["w1s"] / n,
         "b1": stats["b1"] / n,
         "w2": stats["w2"] / n,
         "b2": float(stats["b2"]) / n,

@@ -30,12 +30,12 @@ def train_s_nn(
 ) -> TrainResult:
     """Train the network with the join streamed per epoch (S-NN)."""
     t_df = joined_input(s_df, r_dfs, ["y"])
-    layout = factorized_grad_layout(init.nh, init.d, [])
+    layout = factorized_grad_layout(init.nh, init.d)
 
     def step(p):
         batch_fn = _dense_batch_fn(p, activation, layout)
         flat = aggregate_partitions(t_df, batch_fn, layout.size)
-        grads, loss = finalize_factorized(layout.unpack(flat), [])
+        grads, loss = finalize_factorized(layout.unpack(flat))
         return loss, apply_gradients(p, grads, lr)
 
     return fit(init, step, epochs)

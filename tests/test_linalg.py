@@ -150,16 +150,20 @@ def test_factorized_multiway_equals_dense(d_s, d_rs, k):
 
 
 def test_factorized_terms_shapes():
+    """Only the terms the kernel reads: no ``pd`` for the last table, which
+    the cross terms read only through ``u``."""
     rng = np.random.default_rng(0)
     d_s, d_rs, n_rs, k = 3, [4, 2], [6, 5], 2
     _, mu, sigma = _random_gmm(d_s + sum(d_rs), k, 0)
     prec, _ = precisions_and_logdets(sigma)
     xrs = [rng.normal(size=(n_r, d_r)) for n_r, d_r in zip(n_rs, d_rs)]
     terms = MultiwayTerms(xrs, mu, prec, [d_s, *d_rs])
-    assert [pd.shape for pd in terms.pd] == [(6, k, 4), (5, k, 2)]
+    assert [pd.shape for pd in terms.pd] == [(6, k, 4)]
     assert [c.shape for c in terms.c] == [(6, k), (5, k)]
     assert [w.shape for w in terms.w0] == [(6, k, d_s), (5, k, d_s)]
     assert {key: u.shape for key, u in terms.u.items()} == {(1, 2): (5, k, 4)}
+    binary = MultiwayTerms(xrs[:1], mu[:, : d_s + 4], prec[:, : d_s + 4, : d_s + 4], [d_s, 4])
+    assert binary.pd == [] and binary.u == {}
 
 
 @settings(max_examples=15, deadline=None)

@@ -12,6 +12,7 @@ from pyspark.sql import functions as F
 
 from repro.bench.harness import make_init, train
 from repro.core.em_ref import em_fit
+from repro.core.nn_ref import nn_fit
 from repro.core.relational import (
     collect_dimension_tables,
     denormalize,
@@ -159,9 +160,9 @@ def test_f_rejects_fk_without_r_tuple(spark, binary, tmp_path, model, fk):
 
 
 def test_trainers_reject_empty_fact_table(spark, binary, tmp_path):
-    """An empty S fails with one named error on all six trainers and on the
-    EM reference, instead of NaN GMM parameters or a ZeroDivisionError in the
-    NN finish."""
+    """An empty S fails with one named error on all six trainers and on both
+    references, instead of NaN parameters or a ZeroDivisionError in the NN
+    finish."""
     _, _, s_df, r_df = binary
     messages = set()
     for model in ("GMM", "NN"):
@@ -175,6 +176,26 @@ def test_trainers_reject_empty_fact_table(spark, binary, tmp_path):
     with pytest.raises(ValueError) as e:
         em_fit(np.empty((0, 5)), make_init("GMM", 5, 2), 2)
     messages.add(str(e.value))
+    with pytest.raises(ValueError) as e:
+        nn_fit(np.empty((0, 5)), np.empty(0), make_init("NN", 5, 2), 2)
+    messages.add(str(e.value))
+    assert messages == {"no rows to train on: the fact table (or its join) is empty"}
+
+
+def test_trainers_reject_empty_attribute_table(spark, binary, tmp_path):
+    """An empty R leaves no fact tuple to join: all six trainers fail with the
+    empty-input error. F raises it on the driver, from the R it collects,
+    instead of an executor error for the first FK without an R tuple."""
+    _, _, s_df, r_df = binary
+    messages = set()
+    for model in ("GMM", "NN"):
+        for algo in ("M", "S", "F"):
+            with pytest.raises(ValueError, match="^no rows to train on") as e:
+                train(
+                    model, algo, spark, s_df, [r_df.limit(0)],
+                    init=make_init(model, 5, 2), iters=2, tmpdir=str(tmp_path),
+                )
+            messages.add(str(e.value))
     assert messages == {"no rows to train on: the fact table (or its join) is empty"}
 
 

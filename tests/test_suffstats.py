@@ -4,14 +4,27 @@ The assembly test is the M-step half of the paper's exactness claim: the
 factorized per-FK aggregates reconstituted by ``assemble_moments`` must equal
 the dense ``sum gamma x x^T`` over the joined matrix, for binary and
 multi-way joins, and for no attribute table at all (q = 0, M/S's form).
+F's batch function runs that assembly itself, over the R tuples its batch
+references, and returns the q = 0 layout, when that is the smaller of its two
+return forms (last section).
 """
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.core.aggregate import StatLayout, segment_sums
 from repro.core.em_ref import dense_suffstats
-from repro.gmm.suffstats import assemble_moments, factorized_layout
+from repro.core.linalg import MultiwayTerms, factorized_quadratic_multiway, log_responsibilities
+from repro.core.params import init_gmm
+from repro.data.normalized import fk_cols
+from repro.gmm.suffstats import (
+    assemble_moments,
+    factorized_layout,
+    factorized_return,
+    gmm_payload,
+    make_factorized_batch_fn,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -168,3 +181,98 @@ def test_assemble_moments_symmetric_blocks():
     _, _, sxx, _ = assemble_moments(stats, xrs)
     for i in range(k):
         np.testing.assert_allclose(sxx[i], sxx[i].T, rtol=1e-10, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# F's batch function returns full-d moments, finished over its distinct FKs
+# ---------------------------------------------------------------------------
+
+
+def _fact_batch(xs, fk_idx, **cols):
+    """An F pass batch ``S(cols, x, fk_1..fk_q)`` with 1-based FKs."""
+    arrays = {name: pa.array(v) for name, v in cols.items()}
+    arrays["x"] = pa.array([list(row) for row in xs], type=pa.list_(pa.float64()))
+    for t, idx in enumerate(fk_idx, start=1):
+        arrays[f"fk_{t}"] = pa.array(idx + 1)
+    return pa.RecordBatch.from_pydict(arrays)
+
+
+def _partial_fks(rng, n_r, n):
+    """FK rows of a batch that references only some R tuples: the even rows
+    but the last one, so R tuples no fact tuple references sit in between and
+    at the end."""
+    return rng.choice(np.arange(0, n_r - 1, 2), size=n)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_f_batch_returns_moments_in_the_q0_layout(q):
+    """Whatever nR, an F-GMM batch returns the q = 0 layout M and S return,
+    holding the full-d moments ``assemble_moments`` makes of the raw per-FK
+    stats over all nR rows."""
+    rng = np.random.default_rng(q)
+    n, d_s, k = 80, 2, 3
+    d_rs = [3, 2][:q]
+    d = d_s + sum(d_rs)
+    params = init_gmm(d, k, q)
+    payload = gmm_payload(params)
+    layout = factorized_layout(k, d, [], [])
+    for n_rs in ([7, 5][:q], [40, 9][:q]):
+        xs = rng.normal(size=(n, d_s))
+        xrs = [rng.normal(size=(n_r, d_r)) for n_r, d_r in zip(n_rs, d_rs)]
+        fk_idx = [_partial_fks(rng, n_r, n) for n_r in n_rs]
+        terms = MultiwayTerms(xrs, params.mu, payload["prec"], [d_s, *d_rs])
+        batch_fn = make_factorized_batch_fn(payload, terms, xrs, fk_cols(q), layout)
+        got = batch_fn(_fact_batch(xs, fk_idx))
+        assert got.shape == (layout.size,) == (k * (1 + d + d * d) + 1,)
+
+        quad = factorized_quadratic_multiway(xs, fk_idx, params.mu, payload["prec"], terms)
+        gamma, ll = log_responsibilities(quad, params.pi, payload["logdet"], d)
+        stats = _factorized_stats_manual(gamma, xs, fk_idx, xrs)
+        stats["ll"] = ll.sum()
+        nk, sx, sxx, ll_sum = assemble_moments(stats, xrs)
+        want = layout.pack({"nk": nk, "a": sx, "b": sxx, "ll": ll_sum})
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d_s,n_rs,d_rs,form",
+    [
+        (7, [400], [14], "moments"),  # narrow R, many tuples (Expedia2's shape)
+        (7, [30], [218], "sums"),  # wide R, few tuples (Expedia5's shape)
+        (2, [40, 9], [3, 2], "moments"),
+        (2, [6, 5], [30, 20], "sums"),
+    ],
+)
+def test_f_returns_the_smaller_form_and_the_driver_finishes_it(d_s, n_rs, d_rs, form):
+    """``factorized_return`` picks the smaller of the full-d moments and the
+    per-R-tuple sums; either way the driver's ``assemble_moments`` against
+    the R matrices it is handed gives the same moments."""
+    rng = np.random.default_rng(len(n_rs))
+    n, k = 60, 3
+    q = len(n_rs)
+    d = d_s + sum(d_rs)
+    params = init_gmm(d, k, q)
+    payload = gmm_payload(params)
+    xs = rng.normal(size=(n, d_s))
+    xrs = [rng.normal(size=(n_r, d_r)) for n_r, d_r in zip(n_rs, d_rs)]
+    fk_idx = [_partial_fks(rng, n_r, n) for n_r in n_rs]
+
+    layout, driver_xrs = factorized_return(k, d_s, xrs)
+    moments = factorized_layout(k, d, [], [])
+    sums = factorized_layout(k, d_s, n_rs, d_rs)
+    assert layout.size == min(moments.size, sums.size)
+    assert (layout.shapes, len(driver_xrs)) == (
+        (moments.shapes, 0) if form == "moments" else (sums.shapes, q)
+    )
+
+    terms = MultiwayTerms(xrs, params.mu, payload["prec"], [d_s, *d_rs])
+    batch_fn = make_factorized_batch_fn(payload, terms, xrs, fk_cols(q), layout)
+    got = assemble_moments(layout.unpack(batch_fn(_fact_batch(xs, fk_idx))), driver_xrs)
+
+    quad = factorized_quadratic_multiway(xs, fk_idx, params.mu, payload["prec"], terms)
+    gamma, ll = log_responsibilities(quad, params.pi, payload["logdet"], d)
+    stats = _factorized_stats_manual(gamma, xs, fk_idx, xrs)
+    stats["ll"] = ll.sum()
+    want = assemble_moments(stats, xrs)
+    for g, w, name in zip(got, want, ("nk", "sx", "sxx", "ll")):
+        np.testing.assert_allclose(g, w, rtol=1e-12, err_msg=name)
